@@ -10,7 +10,6 @@ from .ops import (
     mul,
     relu,
     scale,
-    slice_channels,
     sum_all,
 )
 from .tensor import Graph, ShapeError, Tensor, active_graph, backward
@@ -30,6 +29,5 @@ __all__ = [
     "mul",
     "relu",
     "scale",
-    "slice_channels",
     "sum_all",
 ]

@@ -20,7 +20,6 @@ inputs (added via Tensor.accumulate_grad, so repeated use of one tensor sums).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Graph, ShapeError, Tensor, active_graph
 
@@ -102,26 +101,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    """Take channels [start, stop) of an (N, C, H, W) tensor."""
-    if x.ndim != 4:
-        raise ShapeError(f"slice_channels needs a rank-4 input, got {x.shape}")
-    channels = x.shape[1]
-    if not (0 <= start < stop <= channels):
-        raise ShapeError(
-            f"slice_channels: range [{start}, {stop}) invalid for {channels} channels"
-        )
-    out = Tensor(x.data[:, start:stop].copy())
-    graph = active_graph()
-    if graph is not None:
-        def backward_fn(g: np.ndarray) -> None:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[:, start:stop] += g
-        graph.record("slice_channels", out, backward_fn)
-    return out
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.sum(x.data))
     graph = active_graph()
@@ -160,33 +139,6 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return out
 
 
-def _conv_columns(x_data: np.ndarray, kh: int, kw: int, pad: int, stride: int):
-    """im2col: zero-pad, then gather every (kh, kw) window as a matrix row."""
-    n, cin, h, w = x_data.shape
-    padded = np.pad(x_data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x_data
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    _, _, h_out, w_out, _, _ = windows.shape
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * h_out * w_out, cin * kh * kw), h_out, w_out
-
-
-def _columns_to_input(dcols: np.ndarray, x_shape, kh: int, kw: int, pad: int, stride: int,
-                      h_out: int, w_out: int) -> np.ndarray:
-    """col2im: scatter-add column gradients back onto the padded input."""
-    n, cin, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    d6 = dcols.reshape(n, h_out, w_out, cin, kh, kw)
-    dx_padded = np.zeros((n, cin, hp, wp))
-    for di in range(kh):
-        for dj in range(kw):
-            dx_padded[:, :, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride] += \
-                d6[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-    if pad:
-        return dx_padded[:, :, pad:pad + h, pad:pad + w]
-    return dx_padded
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
     """Batched 2-D cross-correlation; see the module docstring for the formula."""
     if x.ndim != 4:
@@ -210,22 +162,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     if kw > w + 2 * pad:
         raise ShapeError(f"conv2d: kernel width {kw} exceeds padded input width {w + 2 * pad}")
 
-    cols, h_out, w_out = _conv_columns(x.data, kh, kw, pad, stride)
-    weight_mat = weight.data.reshape(cout, cin * kh * kw)
-    out_mat = cols @ weight_mat.T
-    out_data = out_mat.reshape(n, h_out, w_out, cout).transpose(0, 3, 1, 2)
-    out = Tensor(out_data + bias.data[None, :, None, None])
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (w + 2 * pad - kw) // stride + 1
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
+    padded[:, pad:pad + h, pad:pad + w] = x.data.transpose(0, 2, 3, 1)
+
+    def tap(a: np.ndarray, di: int, dj: int) -> np.ndarray:
+        """The (N, h_out, w_out, C) slice of padded NHWC `a` that tap (di, dj) reads."""
+        return a[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
+
+    weight_data = weight.data
+    out_mat = np.zeros((n * h_out * w_out, cout))
+    for di in range(kh):
+        for dj in range(kw):
+            out_mat += tap(padded, di, dj).reshape(-1, cin) @ weight_data[:, :, di, dj].T
+    out_mat += bias.data
+    out = Tensor(out_mat.reshape(n, h_out, w_out, cout).transpose(0, 3, 1, 2))
 
     graph = active_graph()
     if graph is not None:
-        x_shape = x.shape
         def backward_fn(g: np.ndarray) -> None:
             g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            weight.accumulate_grad((g_mat.T @ cols).reshape(weight.shape))
-            dcols = g_mat @ weight_mat
-            x.accumulate_grad(
-                _columns_to_input(dcols, x_shape, kh, kw, pad, stride, h_out, w_out)
-            )
+            d_weight = np.empty_like(weight_data)
+            d_padded = np.zeros_like(padded)
+            for di in range(kh):
+                for dj in range(kw):
+                    d_weight[:, :, di, dj] = g_mat.T @ tap(padded, di, dj).reshape(-1, cin)
+                    d_tap = tap(d_padded, di, dj)
+                    d_tap += (g_mat @ weight_data[:, :, di, dj]).reshape(d_tap.shape)
+            weight.accumulate_grad(d_weight)
+            x.accumulate_grad(d_padded[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
         graph.record("conv2d", out, backward_fn)
     return out

@@ -92,7 +92,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.origin}: text field is not valid UTF-8") from exc
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -142,23 +145,26 @@ def _meta_float(checkpoint: Checkpoint, key: str) -> float:
 def specs_from_checkpoint(
     checkpoint: Checkpoint,
 ) -> tuple[MappingSpec, DerivativeSpec, ComposerConfig]:
-    mapping_spec = MappingSpec(
-        in_channels=_meta_int(checkpoint, "model.in_channels"),
-        channels=_meta_int(checkpoint, "model.mapping_channels"),
-        blocks=_meta_int(checkpoint, "model.mapping_blocks"),
-        kernel=_meta_int(checkpoint, "model.kernel_size"),
-    )
-    derivative_spec = DerivativeSpec(
-        in_channels=mapping_spec.in_channels,
-        channels=_meta_int(checkpoint, "model.derivative_channels"),
-        kernel=mapping_spec.kernel,
-    )
-    composer_cfg = ComposerConfig(
-        order=_meta_int(checkpoint, "composer.order"),
-        lam=_meta_float(checkpoint, "composer.lambda"),
-        variant=checkpoint.metadata.get("composer.variant", "with_k_residual"),
-        g0=checkpoint.metadata.get("composer.g0", "f_out"),
-    )
+    try:
+        mapping_spec = MappingSpec(
+            in_channels=_meta_int(checkpoint, "model.in_channels"),
+            channels=_meta_int(checkpoint, "model.mapping_channels"),
+            blocks=_meta_int(checkpoint, "model.mapping_blocks"),
+            kernel=_meta_int(checkpoint, "model.kernel_size"),
+        )
+        derivative_spec = DerivativeSpec(
+            in_channels=mapping_spec.in_channels,
+            channels=_meta_int(checkpoint, "model.derivative_channels"),
+            kernel=mapping_spec.kernel,
+        )
+        composer_cfg = ComposerConfig(
+            order=_meta_int(checkpoint, "composer.order"),
+            lam=_meta_float(checkpoint, "composer.lambda"),
+            variant=checkpoint.metadata.get("composer.variant", "with_k_residual"),
+            g0=checkpoint.metadata.get("composer.g0", "f_out"),
+        )
+    except ValueError as exc:
+        raise FormatError(f"checkpoint metadata describes an invalid model: {exc}") from exc
     return mapping_spec, derivative_spec, composer_cfg
 
 

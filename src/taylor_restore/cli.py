@@ -218,10 +218,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_GRADCHECK
 
 
-def _run_one_order(cfg_items: list[tuple[str, str]], order: int,
+def _run_one_order(cfg: dict[str, object], order: int,
                    data_dir: str, out_dir: str) -> tuple[int, float, float]:
     """Train + evaluate one order; importable so process pools can run it."""
-    cfg = effective_config(dict(cfg_items), [("composer.order", str(order))])
+    cfg = {**cfg, "composer.order": order}
     run_dir = Path(out_dir) / f"order_{order}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_echo(cfg, run_dir)
@@ -238,11 +238,6 @@ def _run_one_order(cfg_items: list[tuple[str, str]], order: int,
     return order, report.mean_psnr, report.mean_ssim
 
 
-def _config_as_strings(cfg: dict[str, object]) -> list[tuple[str, str]]:
-    from .runconfig import _fmt_default
-    return [(key, _fmt_default(value)) for key, value in cfg.items()]
-
-
 def cmd_sweep_order(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = _require_out(args)
@@ -252,7 +247,6 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
         raise ConfigError("sweep-order needs at least one order")
     jobs = max(1, args.jobs)
     write_echo(cfg, out_dir)
-    cfg_items = _config_as_strings(cfg)
 
     results: dict[int, tuple[float, float]] = {}
     failures: dict[int, str] = {}
@@ -260,7 +254,7 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
         for order in orders:
             try:
                 _, mean_psnr, mean_ssim = _run_one_order(
-                    cfg_items, order, str(data_dir), str(out_dir)
+                    cfg, order, str(data_dir), str(out_dir)
                 )
                 results[order] = (mean_psnr, mean_ssim)
             except Exception as exc:  # mark and continue with other orders
@@ -268,7 +262,7 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(_run_one_order, cfg_items, order, str(data_dir), str(out_dir)): order
+                pool.submit(_run_one_order, cfg, order, str(data_dir), str(out_dir)): order
                 for order in orders
             }
             for future in concurrent.futures.as_completed(futures):

@@ -145,6 +145,11 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     for entry in entries:
         clean = read_ppm(corpus_dir / entry.clean_file)
         degraded = read_ppm(corpus_dir / entry.degraded_file)
+        if clean.shape != degraded.shape:
+            raise FormatError(
+                f"{entry.clean_file}/{entry.degraded_file}: pair shapes differ "
+                f"({clean.shape} vs {degraded.shape})"
+            )
         y = Tensor(degraded.data[None])
         trace = compose_orders(mapping_fn, derivative_fn, y, composer_cfg)
         restored = Tensor(np.clip(trace.output.data[0], 0.0, 1.0))

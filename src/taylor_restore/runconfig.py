@@ -243,7 +243,6 @@ def train_config_from(cfg: dict[str, object]) -> TrainConfig:
             decay_epochs=cfg["train.decay_epochs"],
             decay_factor=cfg["train.decay_factor"],
             epochs=cfg["train.epochs"],
-            lam=cfg["composer.lambda"],
             seed=cfg["train.seed"],
             checkpoint_every=cfg["train.checkpoint_every"],
         )

@@ -33,6 +33,7 @@ from .checkpoint import (
     MOMENT_V_PREFIX,
     PARAM_PREFIX,
     Checkpoint,
+    _meta_int,
     load_checkpoint,
     load_params_into,
     save_checkpoint,
@@ -66,7 +67,6 @@ class TrainConfig:
     decay_epochs: tuple[int, ...] = (30, 50, 80)
     decay_factor: float = 0.2
     epochs: int = 100
-    lam: float = 1.0  # config-surface mirror; the composer config is operative
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -272,9 +272,9 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
         checkpoint = load_checkpoint(resume_from)
         load_params_into(params, checkpoint)
         _restore_moments(params, state, checkpoint)
-        state.t = int(checkpoint.metadata["train.step"])
-        start_epoch = int(checkpoint.metadata["train.epoch"])
-        rng.state = int(checkpoint.metadata["train.rng_state"])
+        state.t = _meta_int(checkpoint, "train.step")
+        start_epoch = _meta_int(checkpoint, "train.epoch")
+        rng.state = _meta_int(checkpoint, "train.rng_state")
         if start_epoch >= cfg.epochs:
             raise ConfigError(
                 f"checkpoint already covers {start_epoch} epochs; "

@@ -8,8 +8,6 @@ behind a linear reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autodiff import (
     Tensor,
     add,
@@ -21,7 +19,6 @@ from .autodiff import (
     mul,
     relu,
     scale,
-    slice_channels,
     sum_all,
 )
 from .composer import ComposerConfig, VARIANTS, compose_orders, framework_loss
@@ -71,12 +68,6 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
         return mean_all(mul(out, out))
     results.append(("concat_channels", check_gradients(f_concat, [ca, cb])))
 
-    sl = _rand(rng, (2, 4, 3, 3))
-    def f_slice() -> Tensor:
-        out = slice_channels(sl, 1, 3)
-        return mean_all(mul(out, out))
-    results.append(("slice_channels", check_gradients(f_slice, [sl])))
-
     aa = _rand(rng, (3, 4))
     ab = _rand(rng, (3, 4))
     def f_add() -> Tensor:
@@ -113,12 +104,6 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
     results.append(("l1_loss", check_gradients(f_l1, [lp, lt])))
 
     return results
-
-
-@dataclass
-class TinyModel:
-    params_list: list
-    loss_fn: object
 
 
 def build_tiny_model(variant: str, seed: int = 7):

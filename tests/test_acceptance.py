@@ -87,7 +87,7 @@ def test_01_gradient_correctness():
     wall = time.perf_counter() - start
     worst_op = max(err for _, err in per_op)
     worst_composed = max(err for _, err in composed)
-    ok = (len(per_op) == 10 and worst_op < PER_OP_THRESHOLD
+    ok = (len(per_op) == 9 and worst_op < PER_OP_THRESHOLD
           and len(composed) == 2 and worst_composed < COMPOSED_THRESHOLD
           and wall < 60.0)
     _report(1, "gradient correctness", ok,

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps attributes of the
+program's modules by name and calls conv2d positionally. These checks run a
+tiny train and eval under it, so a renamed attribute or a changed conv2d
+signature fails here rather than in a traced benchmark run."""
+
+import importlib
+from pathlib import Path
+
+from taylor_restore.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+TINY = ["--set", "model.mapping_channels=4", "--set", "model.mapping_blocks=1",
+        "--set", "model.derivative_channels=4", "--set", "composer.order=3",
+        "--set", "train.epochs=1", "--set", "train.patch_size=8",
+        "--set", "train.checkpoint_every=0", "--seed", "3"]
+
+
+def test_tracer_scopes_every_conv_and_uninstalls(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from run import MODULES
+    from tracing import CONV_SCOPES, NAME, PHASE, SCOPE, Tracer
+
+    modules = {name: importlib.import_module(f"taylor_restore.{name}") for name in MODULES}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["synthesize", "--out", str(data), "--count", "4", "--seed", "5",
+                 "--set", "data.image_size=16"]) == 0
+
+    tracer = Tracer(modules)
+    tracer.install()
+    try:
+        tracer.phase = "train"
+        assert main(["train", "--data", str(data), "--out", str(run), *TINY]) == 0
+        tracer.phase = "eval"
+        assert main(["eval", "--ckpt", str(run / "ckpt_epoch0001.bin"), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 0
+    finally:
+        tracer.uninstall()
+
+    conv = [span for span in tracer.spans
+            if span[NAME] in ("autodiff.conv2d", "autodiff.conv2d.bwd")]
+    assert {(span[NAME], span[PHASE]) for span in conv} == {
+        ("autodiff.conv2d", "train"), ("autodiff.conv2d.bwd", "train"),
+        ("autodiff.conv2d", "eval"),
+    }
+    assert {span[SCOPE] for span in conv} <= set(CONV_SCOPES)
+
+    for name, module in modules.items():
+        after = vars(module)
+        assert after.keys() == before[name].keys()
+        assert all(after[attr] is value for attr, value in before[name].items()), name

@@ -4,6 +4,7 @@ exit codes, config precedence from flags, and byte-stable reruns."""
 import importlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 import taylor_restore
-from taylor_restore.checkpoint import save_checkpoint
+from taylor_restore.autodiff import Tensor
+from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.cli import main
 from taylor_restore.composer import ComposerConfig
 from taylor_restore.networks import DerivativeSpec, MappingSpec, zero_params
+from taylor_restore.ppm import write_ppm
 from taylor_restore.trainer import AdamState, make_train_checkpoint
 
 TINY_MODEL_SETS = [
@@ -294,6 +297,39 @@ def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
                "--out", str(tmp_path / "eval")])
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "composer.variant", b"\xff\xfe"),  # not UTF-8
+    ("eval", "model.kernel_size", b"4"),  # even kernel: MappingSpec rejects it
+    ("train", "train.step", b"x"),  # read only when resuming
+])
+def test_bad_checkpoint_metadata_is_io_error(tmp_path, capsys, command, key, value):
+    data = synthesize(tmp_path / "data")
+    assert main(train_args(data, tmp_path / "run")) == 0
+    checkpoint = load_checkpoint(tmp_path / "run" / "ckpt_epoch0002.bin")
+    checkpoint.metadata[key] = "PLACEHOLDER"
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, checkpoint)
+    placeholder = struct.pack("<I", 11) + b"PLACEHOLDER"
+    blob = bad.read_bytes()
+    assert blob.count(placeholder) == 1
+    bad.write_bytes(blob.replace(placeholder, struct.pack("<I", len(value)) + value))
+    if command == "eval":
+        argv = ["eval", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "eval")]
+    else:
+        argv = train_args(data, tmp_path / "resumed", epochs=4, extra=["--resume", str(bad)])
+    assert main(argv) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+def test_eval_pair_shape_mismatch_is_io_error(tmp_path, capsys):
+    data = synthesize(tmp_path / "data", count=2)
+    write_ppm(Tensor(np.zeros((3, 8, 8))), data / "degraded_000001.ppm")
+    rc = main(["eval", "--ckpt", str(identity_checkpoint(tmp_path / "identity.bin")),
+               "--data", str(data), "--out", str(tmp_path / "eval")])
+    assert rc == 3
+    assert "pair shapes differ" in capsys.readouterr().err
 
 
 # --- gradcheck ----------------------------------------------------------------------------

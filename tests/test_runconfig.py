@@ -145,7 +145,6 @@ def test_builders_map_config_keys():
     assert train_cfg.patch_size == 32
     assert train_cfg.epochs == 12
     assert train_cfg.decay_epochs == (4, 8)
-    assert train_cfg.lam == 0.5  # mirrors composer.lambda
 
 
 def test_builders_wrap_validation_as_config_errors():

@@ -19,7 +19,6 @@ from taylor_restore.autodiff import (
     mul,
     relu,
     scale,
-    slice_channels,
     sum_all,
 )
 
@@ -204,15 +203,15 @@ def test_add_shape_mismatch_reports_axis():
         mul(Tensor(np.zeros((2,))), Tensor(np.zeros((2, 1))))
 
 
-# --- channel concat / slice --------------------------------------------------
+# --- channel concat ------------------------------------------------------------
 
 def test_concat_slice_roundtrip():
     a = rand_tensor(14, (2, 3, 4, 4))
     b = rand_tensor(15, (2, 2, 4, 4))
     joined = concat_channels(a, b)
     assert joined.shape == (2, 5, 4, 4)
-    assert np.array_equal(slice_channels(joined, 0, 3).data, a.data)
-    assert np.array_equal(slice_channels(joined, 3, 5).data, b.data)
+    assert np.array_equal(joined.data[:, :3], a.data)
+    assert np.array_equal(joined.data[:, 3:], b.data)
 
 
 def test_concat_backward_splits_gradient():
@@ -225,27 +224,10 @@ def test_concat_backward_splits_gradient():
     assert np.array_equal(b.grad, np.full((1, 1, 3, 3), 2.0))
 
 
-def test_slice_backward_pads_with_zeros():
-    x = rand_tensor(18, (1, 4, 2, 2))
-    with Graph() as graph:
-        loss = sum_all(slice_channels(x, 1, 3))
-    backward(loss, graph)
-    expected = np.zeros((1, 4, 2, 2))
-    expected[:, 1:3] = 1.0
-    assert np.array_equal(x.grad, expected)
-
-
 def test_concat_requires_rank_four():
     with pytest.raises(ShapeError):
         concat_channels(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-
-def test_slice_rejects_bad_range():
-    x = Tensor(np.zeros((1, 4, 2, 2)))
-    with pytest.raises(ShapeError):
-        slice_channels(x, 3, 3)
-    with pytest.raises(ShapeError):
-        slice_channels(x, 0, 5)
 
 
 # --- L1 loss ------------------------------------------------------------------
