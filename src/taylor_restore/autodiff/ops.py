@@ -140,7 +140,13 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
-    """Batched 2-D cross-correlation; see the module docstring for the formula."""
+    """Batched 2-D cross-correlation; see the module docstring for the formula.
+
+    Each tap (di, dj) is one contiguous row slice of the flat zero-padded NHWC input, whose
+    row (b*Hp + i)*Wp + j is pixel (b, i, j): output row r reads input row r + di*Wp + dj. The
+    slices times contiguous (Cin, Cout) weight blocks sum over the whole padded grid; wrapped
+    rows are dropped and stride > 1 keeps every stride-th. dW and dX use the same slices.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N, C, H, W), got shape {x.shape}")
     if weight.ndim != 4:
@@ -162,36 +168,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     if kw > w + 2 * pad:
         raise ShapeError(f"conv2d: kernel width {kw} exceeds padded input width {w + 2 * pad}")
 
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
+    hp, wp = h + 2 * pad, w + 2 * pad
+    h_out = (hp - kh) // stride + 1
+    w_out = (wp - kw) // stride + 1
+    padded = np.zeros((n, hp, wp, cin))
     padded[:, pad:pad + h, pad:pad + w] = x.data.transpose(0, 2, 3, 1)
+    rows = padded.reshape(-1, cin)
+    offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    span = len(rows) - offsets[-1]  # the last output pixel's last tap is the last row
+    taps = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout)
 
-    def tap(a: np.ndarray, di: int, dj: int) -> np.ndarray:
-        """The (N, h_out, w_out, C) slice of padded NHWC `a` that tap (di, dj) reads."""
-        return a[:, di:di + stride * h_out:stride, dj:dj + stride * w_out:stride]
+    def valid(grid: np.ndarray) -> np.ndarray:
+        """The (N, h_out, w_out, C) output pixels of an (N*Hp*Wp, C) row grid."""
+        return grid.reshape(n, hp, wp, -1)[:, :stride * h_out:stride, :stride * w_out:stride]
 
-    weight_data = weight.data
-    out_mat = np.zeros((n * h_out * w_out, cout))
-    for di in range(kh):
-        for dj in range(kw):
-            out_mat += tap(padded, di, dj).reshape(-1, cin) @ weight_data[:, :, di, dj].T
-    out_mat += bias.data
-    out = Tensor(out_mat.reshape(n, h_out, w_out, cout).transpose(0, 3, 1, 2))
+    acc, prod = np.zeros((len(rows), cout)), np.empty((span, cout))
+    for offset, tap in zip(offsets, taps):
+        acc[:span] += np.matmul(rows[offset:offset + span], tap, out=prod)
+    acc += bias.data
+    out = Tensor(valid(acc).transpose(0, 3, 1, 2))
 
     graph = active_graph()
     if graph is not None:
         def backward_fn(g: np.ndarray) -> None:
-            g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+            g_rows = np.zeros((len(rows), cout))
+            valid(g_rows)[...] = g.transpose(0, 2, 3, 1)
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            d_weight = np.empty_like(weight_data)
-            d_padded = np.zeros_like(padded)
-            for di in range(kh):
-                for dj in range(kw):
-                    d_weight[:, :, di, dj] = g_mat.T @ tap(padded, di, dj).reshape(-1, cin)
-                    d_tap = tap(d_padded, di, dj)
-                    d_tap += (g_mat @ weight_data[:, :, di, dj]).reshape(d_tap.shape)
-            weight.accumulate_grad(d_weight)
-            x.accumulate_grad(d_padded[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
+            d_taps = np.empty_like(taps)
+            d_rows, d_prod = np.zeros_like(rows), np.empty((span, cin))
+            for t, (offset, tap) in enumerate(zip(offsets, taps)):
+                np.matmul(rows[offset:offset + span].T, g_rows[:span], out=d_taps[t])
+                d_rows[offset:offset + span] += np.matmul(g_rows[:span], tap.T, out=d_prod)
+            weight.accumulate_grad(d_taps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
+            d_x = d_rows.reshape(n, hp, wp, cin)[:, pad:pad + h, pad:pad + w]
+            x.accumulate_grad(d_x.transpose(0, 3, 1, 2))
         graph.record("conv2d", out, backward_fn)
     return out

@@ -6,8 +6,9 @@ innermost active Graph; running them with no active graph is inference mode
 and costs nothing extra.
 
 Gradients accumulate: backward() adds into `.grad`, never overwrites, so a
-parameter used several times in one graph (or across several backward calls)
-receives the sum of all contributions. Callers zero grads between steps.
+parameter used several times in one graph (or across several graphs) receives
+the sum of all contributions. backward() consumes its graph, and only leaves
+(tensors that no op produced) keep `.grad`. Callers zero grads between steps.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -76,7 +78,7 @@ class Graph:
 
     Execution order is already topological (an op's inputs exist before the
     op runs), so backward() is a single reverse sweep that visits each record
-    exactly once. A graph is meant for one forward/backward pair.
+    exactly once. A graph serves one forward/backward pair; backward() empties it.
     """
 
     __slots__ = ("_records",)
@@ -105,17 +107,18 @@ def active_graph() -> Graph | None:
 
 
 def backward(loss: Tensor, graph: Graph) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every tensor feeding loss.
+    """Accumulate d(loss)/d(leaf) into .grad for every leaf feeding loss.
 
-    The loss must be a scalar. Ops whose output never received a gradient
-    (side branches that do not feed the loss) are skipped, leaving their
-    inputs' grads untouched.
+    The loss must be a scalar. Each record is popped and its output's gradient
+    taken (reset to None), so buffers are freed once used and the graph ends
+    empty. Ops whose output never received a gradient (side branches that do
+    not feed the loss) are skipped, leaving their inputs' grads untouched.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     loss.accumulate_grad(np.ones_like(loss.data))
-    for _name, output, backward_fn in reversed(graph._records):
-        upstream = output.grad
-        if upstream is None:
-            continue
-        backward_fn(upstream)
+    while graph._records:
+        _name, output, backward_fn = graph._records.pop()
+        upstream, output.grad = output.grad, None
+        if upstream is not None:
+            backward_fn(upstream)

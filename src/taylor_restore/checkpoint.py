@@ -126,11 +126,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def _meta_int(checkpoint: Checkpoint, key: str) -> int:
     try:
-        return int(checkpoint.metadata[key])
+        value = int(checkpoint.metadata[key])
     except KeyError as exc:
         raise FormatError(f"checkpoint missing metadata key {key!r}") from exc
     except ValueError as exc:
         raise FormatError(f"checkpoint metadata {key!r} is not an integer") from exc
+    if not 0 <= value < 1 << 64:
+        raise FormatError(f"checkpoint metadata {key!r} = {value} is outside [0, 2**64)")
+    return value
 
 
 def _meta_float(checkpoint: Checkpoint, key: str) -> float:

@@ -145,3 +145,29 @@ def conv2d_bruteforce(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                                         * float(weight[o, c, di, dj])
                     out[ni, o, i, j] = acc
     return out
+
+
+def conv2d_backward_bruteforce(x: np.ndarray, weight: np.ndarray, g: np.ndarray,
+                               pad: int, stride: int):
+    """(dX, dW, db) of conv2d for upstream gradient g, written as plain loops:
+    every output pixel's gradient goes back through each tap that read it."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    d_x = np.zeros(x.shape)
+    d_w = np.zeros(weight.shape)
+    d_b = np.zeros(cout)
+    for ni in range(n):
+        for o in range(cout):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    up = float(g[ni, o, i, j])
+                    d_b[o] += up
+                    for c in range(cin):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                src_i = i * stride + di - pad
+                                src_j = j * stride + dj - pad
+                                if 0 <= src_i < h and 0 <= src_j < w:
+                                    d_x[ni, c, src_i, src_j] += up * float(weight[o, c, di, dj])
+                                    d_w[o, c, di, dj] += up * float(x[ni, c, src_i, src_j])
+    return d_x, d_w, d_b

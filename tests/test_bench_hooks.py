@@ -45,6 +45,9 @@ def test_tracer_scopes_every_conv_and_uninstalls(tmp_path, monkeypatch):
         ("autodiff.conv2d", "eval"),
     }
     assert {span[SCOPE] for span in conv} <= set(CONV_SCOPES)
+    # backward pops every record of the traced Graph subclass and runs its closure
+    train_names = [span[NAME] for span in conv if span[PHASE] == "train"]
+    assert train_names.count("autodiff.conv2d.bwd") == train_names.count("autodiff.conv2d")
 
     for name, module in modules.items():
         after = vars(module)

@@ -65,6 +65,13 @@ def test_bad_orders_spec_is_usage_error(capsys):
     assert main(["sweep-order", "abc", "--out", "x"]) == 2
 
 
+def child_env(**extra):
+    """The environment for a child process that imports this checkout's package."""
+    package_root = str(Path(taylor_restore.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)), **extra)
+
+
 def check_console_script(command, env=None):
     proc = subprocess.run([*command, "--help"], capture_output=True, text=True,
                           env=env)
@@ -89,10 +96,7 @@ def test_console_script_is_installed(tmp_path):
     launcher = tmp_path / "taylor-restore"
     launcher.write_text(f"import sys\nfrom {module} import {attr}\n"
                         f"sys.exit({attr}())\n")
-    package_root = str(Path(taylor_restore.__file__).resolve().parents[1])
-    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    check_console_script([sys.executable, str(launcher)], env)
+    check_console_script([sys.executable, str(launcher)], child_env())
 
     installed = shutil.which("taylor-restore")
     if installed is not None:
@@ -200,6 +204,25 @@ def test_train_rerun_reproduces_log(tmp_path):
         == (second / "ckpt_epoch0002.bin").read_bytes()
 
 
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A desk-shape run writes the same loss log and checkpoint with one BLAS
+    thread as with two."""
+    preset = Path(__file__).resolve().parents[1] / "configs" / "desk_rain.cfg"
+    data = synthesize(tmp_path / "data", count=8, size=64, extra=["--config", str(preset)])
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "taylor_restore", "train", "--config", str(preset),
+             "--data", str(data), "--out", str(out), "--seed", "3",
+             "--set", "train.epochs=2", "--set", "train.checkpoint_every=0"],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = [(out / name).read_bytes()
+                            for name in ("loss.tsv", "ckpt_epoch0002.bin")]
+    assert written["1"] == written["2"]
+
+
 def test_train_requires_data(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "run")]) == 2
     assert "missing paths.data" in capsys.readouterr().err
@@ -303,6 +326,9 @@ def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
     ("eval", "composer.variant", b"\xff\xfe"),  # not UTF-8
     ("eval", "model.kernel_size", b"4"),  # even kernel: MappingSpec rejects it
     ("train", "train.step", b"x"),  # read only when resuming
+    ("train", "train.epoch", b"-3"),  # would train 7 epochs of a 4-epoch run
+    ("train", "train.step", b"-1"),  # would divide by zero in Adam's bias correction
+    ("train", "train.rng_state", str(1 << 64).encode()),  # not a 64-bit state
 ])
 def test_bad_checkpoint_metadata_is_io_error(tmp_path, capsys, command, key, value):
     data = synthesize(tmp_path / "data")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import conv2d_bruteforce, rand_tensor
+from conftest import conv2d_backward_bruteforce, conv2d_bruteforce, rand_tensor
 from taylor_restore.autodiff import (
     Graph,
     ShapeError,
@@ -81,6 +81,30 @@ def test_conv2d_matches_loop_oracle(case):
     ref = conv2d_bruteforce(x.data, w.data, b.data, case["pad"], case["stride"])
     assert out.shape == ref.shape
     assert np.allclose(out.data, ref, atol=1e-12, rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", [
+    # the model's "same" convs: pad = k // 2, batch 2, non-square images
+    dict(x=(2, 3, 5, 7), w=(4, 3, 1, 1), pad=0, stride=1),
+    dict(x=(2, 3, 5, 7), w=(4, 3, 3, 3), pad=1, stride=1),
+    dict(x=(2, 2, 7, 6), w=(3, 2, 5, 5), pad=2, stride=1),
+    dict(x=(2, 3, 7, 6), w=(2, 3, 3, 3), pad=1, stride=2),
+    dict(x=(2, 2, 4, 5), w=(3, 2, 3, 3), pad=3, stride=1),  # pad wider than k // 2
+])
+def test_conv2d_backward_matches_loop_oracle(case):
+    x = rand_tensor(30, case["x"])
+    w = rand_tensor(31, case["w"])
+    b = rand_tensor(32, (case["w"][0],))
+    with Graph() as graph:
+        out = conv2d(x, w, b, pad=case["pad"], stride=case["stride"])
+        upstream = rand_tensor(33, out.shape)
+        loss = sum_all(mul(out, upstream))  # d(loss)/d(out) = upstream
+    backward(loss, graph)
+    ref_x, ref_w, ref_b = conv2d_backward_bruteforce(
+        x.data, w.data, upstream.data, case["pad"], case["stride"])
+    assert np.allclose(x.grad, ref_x, atol=1e-12, rtol=1e-12)
+    assert np.allclose(w.grad, ref_w, atol=1e-12, rtol=1e-12)
+    assert np.allclose(b.grad, ref_b, atol=1e-12, rtol=1e-12)
 
 
 @given(h=st.integers(3, 10), w=st.integers(3, 10), k=st.sampled_from([1, 3, 5]),
@@ -289,6 +313,34 @@ def test_backward_is_linear_in_loss_scale():
     gp3, gq3 = run(3.0)
     assert np.allclose(gp3, 3.0 * gp1, atol=1e-12, rtol=1e-12)
     assert np.allclose(gq3, 3.0 * gq1, atol=1e-12, rtol=1e-12)
+
+
+def test_backward_consumes_the_graph():
+    a = Tensor([1.0, -2.0])
+    b = Tensor([3.0, 5.0])
+    with Graph() as graph:
+        hidden = add(a, b)
+        loss = sum_all(mul(hidden, b))  # d/da = b, d/db = a + 2b
+    assert len(graph) == 3
+    backward(loss, graph)
+    assert len(graph) == 0
+    assert hidden.grad is None and loss.grad is None
+    assert a.grad.tolist() == [3.0, 5.0]
+    assert b.grad.tolist() == [7.0, 8.0]
+    backward(loss, graph)  # nothing left to replay: the leaves keep their grads
+    assert a.grad.tolist() == [3.0, 5.0]
+    assert b.grad.tolist() == [7.0, 8.0]
+
+
+def test_first_gradient_is_a_copy():
+    # add hands one array to both inputs; a later contribution to a must not reach b
+    a = Tensor([3.0])
+    b = Tensor([2.0])
+    with Graph() as graph:
+        square = mul(a, a)  # recorded first, so replayed after add
+        loss = sum_all(add(square, add(a, b)))
+    backward(loss, graph)
+    assert a.grad.tolist() == [7.0] and b.grad.tolist() == [1.0]
 
 
 def test_gradients_accumulate_across_graphs():
