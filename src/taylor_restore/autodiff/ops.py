@@ -142,10 +142,10 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
     """Batched 2-D cross-correlation; see the module docstring for the formula.
 
-    Each tap (di, dj) is one contiguous row slice of the flat zero-padded NHWC input, whose
-    row (b*Hp + i)*Wp + j is pixel (b, i, j): output row r reads input row r + di*Wp + dj. The
-    slices times contiguous (Cin, Cout) weight blocks sum over the whole padded grid; wrapped
-    rows are dropped and stride > 1 keeps every stride-th. dW and dX use the same slices.
+    Each tap (di, dj) is one column slice of the zero-padded channel-major (Cin, N*Hp*Wp) grid,
+    whose column (b*Hp + i)*Wp + j is pixel (b, i, j): output column r reads input column
+    r + di*Wp + dj. (Cout, Cin) weight blocks times those slices sum over the whole padded grid;
+    wrapped columns are dropped and stride > 1 keeps every stride-th. dW and dX use the same slices.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N, C, H, W), got shape {x.shape}")
@@ -171,36 +171,43 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
-    padded = np.zeros((n, hp, wp, cin))
-    padded[:, pad:pad + h, pad:pad + w] = x.data.transpose(0, 2, 3, 1)
-    rows = padded.reshape(-1, cin)
+    padded = np.zeros((cin, n, hp, wp))
+    padded[:, :, pad:pad + h, pad:pad + w] = x.data.transpose(1, 0, 2, 3)
+    cols = padded.reshape(cin, -1)
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    span = len(rows) - offsets[-1]  # the last output pixel's last tap is the last row
-    taps = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw, cin, cout)
+    # The last output pixel's last tap reads the last column, so no output lies past span and
+    # acc leaves those columns unwritten.
+    span = cols.shape[1] - offsets[-1]
+    taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
 
     def valid(grid: np.ndarray) -> np.ndarray:
-        """The (N, h_out, w_out, C) output pixels of an (N*Hp*Wp, C) row grid."""
-        return grid.reshape(n, hp, wp, -1)[:, :stride * h_out:stride, :stride * w_out:stride]
+        """The (C, N, h_out, w_out) output pixels of a (C, N*Hp*Wp) column grid."""
+        return grid.reshape(-1, n, hp, wp)[:, :, :stride * h_out:stride, :stride * w_out:stride]
 
-    acc, prod = np.zeros((len(rows), cout)), np.empty((span, cout))
-    for offset, tap in zip(offsets, taps):
-        acc[:span] += np.matmul(rows[offset:offset + span], tap, out=prod)
-    acc += bias.data
-    out = Tensor(valid(acc).transpose(0, 3, 1, 2))
+    acc, prod = np.empty((cout, cols.shape[1])), np.empty((cout, span))
+    np.matmul(taps[0], cols[:, :span], out=acc[:, :span])
+    for offset, tap in zip(offsets[1:], taps[1:]):
+        acc[:, :span] += np.matmul(tap, cols[:, offset:offset + span], out=prod)
+    acc[:, :span] += bias.data[:, None]
+    out = Tensor(valid(acc).transpose(1, 0, 2, 3))
 
     graph = active_graph()
     if graph is not None:
         def backward_fn(g: np.ndarray) -> None:
-            g_rows = np.zeros((len(rows), cout))
-            valid(g_rows)[...] = g.transpose(0, 2, 3, 1)
+            g_cols = np.zeros((cout, cols.shape[1]))
+            valid(g_cols)[...] = g.transpose(1, 0, 2, 3)
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
             d_taps = np.empty_like(taps)
-            d_rows, d_prod = np.zeros_like(rows), np.empty((span, cin))
-            for t, (offset, tap) in enumerate(zip(offsets, taps)):
-                np.matmul(rows[offset:offset + span].T, g_rows[:span], out=d_taps[t])
-                d_rows[offset:offset + span] += np.matmul(g_rows[:span], tap.T, out=d_prod)
-            weight.accumulate_grad(d_taps.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
-            d_x = d_rows.reshape(n, hp, wp, cin)[:, pad:pad + h, pad:pad + w]
-            x.accumulate_grad(d_x.transpose(0, 3, 1, 2))
+            d_cols, d_prod = np.empty_like(cols), np.empty((cin, span))
+            d_cols[:, span:] = 0.0
+            g_span = g_cols[:, :span]
+            for t, offset in enumerate(offsets):
+                np.matmul(g_span, cols[:, offset:offset + span].T, out=d_taps[t])
+            np.matmul(taps[0].T, g_span, out=d_cols[:, :span])
+            for offset, tap in zip(offsets[1:], taps[1:]):
+                d_cols[:, offset:offset + span] += np.matmul(tap.T, g_span, out=d_prod)
+            weight.accumulate_grad(d_taps.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+            d_x = d_cols.reshape(cin, n, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+            x.accumulate_grad(d_x.transpose(1, 0, 2, 3))
         graph.record("conv2d", out, backward_fn)
     return out

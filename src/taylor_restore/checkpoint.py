@@ -20,6 +20,7 @@ the network/composer hyperparameters and training counters as strings.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +55,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
+    """Write atomically: a sibling temp file replaces ``path`` only once it is complete."""
     parts: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
     meta_items = sorted(checkpoint.metadata.items())
     parts.append(struct.pack("<I", len(meta_items)))
@@ -72,7 +74,9 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
         parts.append(struct.pack("<I", array.ndim))
         parts.append(struct.pack(f"<{array.ndim}Q", *array.shape) if array.ndim else b"")
         parts.append(array.astype("<f8", copy=False).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    temp = Path(f"{path}.tmp")
+    temp.write_bytes(b"".join(parts))
+    os.replace(temp, path)
 
 
 class _Reader:

@@ -17,11 +17,11 @@ class FormatError(Exception):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or parameter gradient."""
 
-    def __init__(self, step: int, lr: float, value: float):
+    def __init__(self, step: int, lr: float, value: float, quantity: str = "loss"):
         super().__init__(
-            f"non-finite loss {value!r} at step {step} (lr={lr!r}); aborting"
+            f"non-finite {quantity} {value!r} at step {step} (lr={lr!r}); aborting"
         )
         self.step = step
         self.lr = lr

@@ -49,27 +49,31 @@ def psnr(a: Tensor, b: Tensor, peak: float = 1.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
+def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """The 1-D Gaussian, normalized to sum 1; its outer product with itself is the window."""
+    coords = np.arange(size) - (size - 1) / 2.0
+    kernel = np.exp(-coords * coords / (2.0 * sigma * sigma))
+    return kernel / kernel.sum()
+
+
 def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    grid = coords[:, None] ** 2 + coords[None, :] ** 2
-    window = np.exp(-grid / (2.0 * sigma * sigma))
-    return window / window.sum()
+    kernel = gaussian_kernel(size, sigma)
+    return np.outer(kernel, kernel)
 
 
-def _windowed_mean(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
-    views = sliding_window_view(plane, window.shape)
-    return np.tensordot(views, window, axes=([2, 3], [0, 1]))
+def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    rows = sliding_window_view(plane, kernel.size, axis=1) @ kernel
+    return sliding_window_view(rows, kernel.size, axis=0) @ kernel
 
 
-def _ssim_plane(a: np.ndarray, b: np.ndarray, window: np.ndarray) -> float:
+def _ssim_plane(a: np.ndarray, b: np.ndarray, kernel: np.ndarray) -> float:
     c1 = (SSIM_K1 * 1.0) ** 2
     c2 = (SSIM_K2 * 1.0) ** 2
-    mu_a = _windowed_mean(a, window)
-    mu_b = _windowed_mean(b, window)
-    var_a = _windowed_mean(a * a, window) - mu_a * mu_a
-    var_b = _windowed_mean(b * b, window) - mu_b * mu_b
-    cov = _windowed_mean(a * b, window) - mu_a * mu_b
+    mu_a = _windowed_mean(a, kernel)
+    mu_b = _windowed_mean(b, kernel)
+    var_a = _windowed_mean(a * a, kernel) - mu_a * mu_a
+    var_b = _windowed_mean(b * b, kernel) - mu_b * mu_b
+    cov = _windowed_mean(a * b, kernel) - mu_a * mu_b
     score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )
@@ -91,8 +95,8 @@ def ssim(a: Tensor, b: Tensor) -> float:
         raise ShapeError(
             f"ssim needs spatial extent >= {SSIM_WINDOW}, got {height}x{width}"
         )
-    window = gaussian_window()
-    scores = [_ssim_plane(pa, pb, window) for pa, pb in zip(planes_a, planes_b)]
+    kernel = gaussian_kernel()
+    scores = [_ssim_plane(pa, pb, kernel) for pa, pb in zip(planes_a, planes_b)]
     return float(np.mean(scores))
 
 

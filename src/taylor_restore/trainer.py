@@ -15,7 +15,7 @@ byte-identical. Checkpoints ``ckpt_epoch%04d.bin`` carry parameters, Adam
 moments, counters, and the sampling-stream state, which is what makes
 split training (train N, resume M) bit-identical to training N+M epochs.
 
-A non-finite loss aborts immediately with the step index and lr.
+A non-finite loss or parameter gradient aborts before the Adam update of its step.
 """
 
 from __future__ import annotations
@@ -308,6 +308,11 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                     log.flush()
                     raise DivergenceError(state.t + 1, lr, loss_value)
                 backward(total, graph)
+                for name, tensor in params.items():
+                    bad = tensor.grad[~np.isfinite(tensor.grad)]
+                    if bad.size:
+                        log.flush()
+                        raise DivergenceError(state.t + 1, lr, float(bad[0]), f"gradient of {name}")
                 adam_step(params, state, lr, cfg.beta1, cfg.beta2, cfg.eps)
                 log.write(
                     f"{epoch}\t{state.t}\t{lr!r}\t{loss_value!r}"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import taylor_restore
+from taylor_restore import trainer
 from taylor_restore.autodiff import Tensor
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.cli import main
@@ -206,7 +207,7 @@ def test_train_rerun_reproduces_log(tmp_path):
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     """A desk-shape run writes the same loss log and checkpoint with one BLAS
-    thread as with two."""
+    thread as with two, and an eval of that checkpoint the same metrics."""
     preset = Path(__file__).resolve().parents[1] / "configs" / "desk_rain.cfg"
     data = synthesize(tmp_path / "data", count=8, size=64, extra=["--config", str(preset)])
     written = {}
@@ -220,6 +221,17 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         written[threads] = [(out / name).read_bytes()
                             for name in ("loss.tsv", "ckpt_epoch0002.bin")]
+    assert written["1"] == written["2"]
+    # eval runs batch-1 convs, whose GEMMs BLAS may split across threads differently
+    for threads in ("1", "2"):
+        out = tmp_path / f"eval{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "taylor_restore", "eval", "--config", str(preset),
+             "--ckpt", str(tmp_path / "threads1" / "ckpt_epoch0002.bin"),
+             "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = (out / "metrics.tsv").read_bytes()
     assert written["1"] == written["2"]
 
 
@@ -254,6 +266,53 @@ def test_train_resume_flag(tmp_path):
     assert rc == 0
     assert (resumed / "ckpt_epoch0004.bin").read_bytes() \
         == (cont / "ckpt_epoch0004.bin").read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
+    """A checkpoint that cannot be put in place leaves the one already at its path
+    whole, and the run exits 3."""
+    data = synthesize(tmp_path / "data")
+    path = tmp_path / "run" / "ckpt_epoch0002.bin"
+    assert main(train_args(data, tmp_path / "run")) == 0
+    earlier = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    # another seed, so that a non-atomic write would change the bytes
+    assert main(train_args(data, tmp_path / "run", extra=["--seed", "4"])) == 3
+    assert "io error" in capsys.readouterr().err
+    assert path.read_bytes() == earlier
+    load_checkpoint(path)
+
+
+def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):
+    """A NaN in one parameter's gradient ends the run with exit 4, names the
+    parameter, and reaches neither the weights nor a checkpoint."""
+    data = synthesize(tmp_path / "data")
+    built = []
+
+    def recording_build_params(*args):
+        params = real_build_params(*args)
+        built.append((params, {name: t.data.copy() for name, t in params.items()}))
+        return params
+
+    def poisoning_backward(loss, graph):
+        real_backward(loss, graph)
+        params, _ = built[0]
+        params[params.names()[-1]].grad[...] = np.nan
+
+    real_build_params, real_backward = trainer.build_params, trainer.backward
+    monkeypatch.setattr(trainer, "build_params", recording_build_params)
+    monkeypatch.setattr(trainer, "backward", poisoning_backward)
+    out = tmp_path / "run"
+    assert main(train_args(data, out)) == 4
+    params, initial = built[0]
+    assert f"non-finite gradient of {params.names()[-1]} nan at step 1" in capsys.readouterr().err
+    for name, tensor in params.items():
+        assert np.array_equal(tensor.data, initial[name]), name
+    assert not list(out.glob("ckpt_*"))
 
 
 # --- eval --------------------------------------------------------------------------------

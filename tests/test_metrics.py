@@ -92,8 +92,9 @@ def test_ssim_constant_images_hit_luminance_floor():
 
 
 def test_ssim_matches_loop_oracle():
-    for seed in range(5):
-        a, b = image_pair(30 + seed, (3, 14, 14))
+    # square planes and one non-square one
+    for seed, shape in enumerate([(3, 14, 14)] * 5 + [(3, 13, 19)]):
+        a, b = image_pair(30 + seed, shape)
         assert abs(ssim(a, b) - ssim_bruteforce(a.data, b.data)) <= 1e-6
 
 

@@ -21,6 +21,7 @@ from taylor_restore.autodiff import (
     scale,
     sum_all,
 )
+from taylor_restore.autodiff import ops
 
 
 # --- tensor basics ----------------------------------------------------------
@@ -67,12 +68,15 @@ def test_conv2d_documented_example():
     assert out.data[0, 0, 0, 0] == 12.0
 
 
-@pytest.mark.parametrize("case", [
+FORWARD_CASES = [
     dict(x=(1, 1, 5, 5), w=(1, 1, 3, 3), pad=0, stride=1),
     dict(x=(2, 3, 6, 5), w=(4, 3, 3, 3), pad=1, stride=2),
     dict(x=(1, 2, 4, 7), w=(3, 2, 1, 1), pad=0, stride=1),
     dict(x=(1, 2, 5, 6), w=(2, 2, 1, 3), pad=2, stride=3),
-])
+]
+
+
+@pytest.mark.parametrize("case", FORWARD_CASES)
 def test_conv2d_matches_loop_oracle(case):
     x = rand_tensor(1, case["x"])
     w = rand_tensor(2, case["w"])
@@ -83,14 +87,17 @@ def test_conv2d_matches_loop_oracle(case):
     assert np.allclose(out.data, ref, atol=1e-12, rtol=1e-12)
 
 
-@pytest.mark.parametrize("case", [
+BACKWARD_CASES = [
     # the model's "same" convs: pad = k // 2, batch 2, non-square images
     dict(x=(2, 3, 5, 7), w=(4, 3, 1, 1), pad=0, stride=1),
     dict(x=(2, 3, 5, 7), w=(4, 3, 3, 3), pad=1, stride=1),
     dict(x=(2, 2, 7, 6), w=(3, 2, 5, 5), pad=2, stride=1),
     dict(x=(2, 3, 7, 6), w=(2, 3, 3, 3), pad=1, stride=2),
     dict(x=(2, 2, 4, 5), w=(3, 2, 3, 3), pad=3, stride=1),  # pad wider than k // 2
-])
+]
+
+
+@pytest.mark.parametrize("case", BACKWARD_CASES)
 def test_conv2d_backward_matches_loop_oracle(case):
     x = rand_tensor(30, case["x"])
     w = rand_tensor(31, case["w"])
@@ -105,6 +112,32 @@ def test_conv2d_backward_matches_loop_oracle(case):
     assert np.allclose(x.grad, ref_x, atol=1e-12, rtol=1e-12)
     assert np.allclose(w.grad, ref_w, atol=1e-12, rtol=1e-12)
     assert np.allclose(b.grad, ref_b, atol=1e-12, rtol=1e-12)
+
+
+class PoisonedNumpy:
+    """numpy, except that `empty` and `empty_like` hand out NaN-filled arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+    @staticmethod
+    def empty_like(prototype):
+        return np.full_like(prototype, np.nan)
+
+
+@pytest.mark.parametrize("oracle_test, case", [
+    *[(test_conv2d_matches_loop_oracle, case) for case in FORWARD_CASES],
+    *[(test_conv2d_backward_matches_loop_oracle, case) for case in BACKWARD_CASES],
+])
+def test_conv2d_reads_no_unwritten_scratch(monkeypatch, oracle_test, case):
+    """conv2d leaves the scratch columns past its last output unwritten: with every
+    `np.empty` in `ops` NaN-filled, outputs and gradients still match the oracles."""
+    monkeypatch.setattr(ops, "np", PoisonedNumpy())
+    oracle_test(case)
 
 
 @given(h=st.integers(3, 10), w=st.integers(3, 10), k=st.sampled_from([1, 3, 5]),
