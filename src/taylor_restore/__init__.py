@@ -9,7 +9,7 @@ from .degrade import DegradationSpec, make_corpus, synth_blur, synth_rain
 from .metrics import evaluate, psnr, ssim
 from .networks import DerivativeSpec, MappingSpec, ParamSet, init_params
 from .prng import SplitMix64, derive_stream
-from .trainer import TrainConfig, adam_step, lr_at, train
+from .trainer import Model, TrainConfig, adam_step, lr_at, train
 
 __all__ = [
     "ComposerConfig",
@@ -18,6 +18,7 @@ __all__ = [
     "DerivativeSpec",
     "Graph",
     "MappingSpec",
+    "Model",
     "ParamSet",
     "ShapeError",
     "SplitMix64",

@@ -15,7 +15,8 @@ Layout (all integers little-endian, all floats IEEE-754 binary64):
 Metadata keys and tensor names are written sorted, so save -> load -> save
 is byte-identical. Tensors hold model parameters under ``param.<path>`` and
 Adam moments under ``adam.m.<path>`` / ``adam.v.<path>``; metadata carries
-the network/composer hyperparameters and training counters as strings.
+the network/composer hyperparameters (``trainer.MODEL_METADATA``) and
+training counters as strings.
 """
 
 from __future__ import annotations
@@ -24,21 +25,13 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor
-from .composer import ComposerConfig
 from .errors import FormatError
-from .networks import (
-    DerivativeSpec,
-    MappingSpec,
-    ParamSet,
-    forward_derivative,
-    forward_mapping,
-    init_params,
-)
+from .networks import ParamSet
+# Not called here; perfbench/tracing.py wraps these two attributes of this module.
+from .networks import forward_derivative, forward_mapping  # noqa: F401
 
 MAGIC = b"TRSTCKPT"
 VERSION = 1
@@ -122,112 +115,60 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for extent in shape:
             count *= extent
         payload = reader.take(8 * count)
-        checkpoint.tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:
+            array = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        except ValueError as exc:  # zero-size, but an extent numpy cannot index
+            raise FormatError(f"{path}: tensor {name} has unusable shape {shape}") from exc
+        checkpoint.tensors[name] = array.copy()
     if reader.pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - reader.pos} trailing bytes")
     return checkpoint
 
 
-def _meta_int(checkpoint: Checkpoint, key: str) -> int:
+def meta_value(checkpoint: Checkpoint, key: str, parse=int):
+    """One metadata value through ``parse`` (int, float or str); integers must
+    lie in [0, 2**64). Anything else is a FormatError naming the key."""
+    if key not in checkpoint.metadata:
+        raise FormatError(f"checkpoint missing metadata key {key!r}")
     try:
-        value = int(checkpoint.metadata[key])
-    except KeyError as exc:
-        raise FormatError(f"checkpoint missing metadata key {key!r}") from exc
+        value = parse(checkpoint.metadata[key])
     except ValueError as exc:
-        raise FormatError(f"checkpoint metadata {key!r} is not an integer") from exc
-    if not 0 <= value < 1 << 64:
+        raise FormatError(f"checkpoint metadata {key!r} is not a valid {parse.__name__}") from exc
+    if parse is int and not 0 <= value < 1 << 64:
         raise FormatError(f"checkpoint metadata {key!r} = {value} is outside [0, 2**64)")
     return value
 
 
-def _meta_float(checkpoint: Checkpoint, key: str) -> float:
-    try:
-        return float(checkpoint.metadata[key])
-    except KeyError as exc:
-        raise FormatError(f"checkpoint missing metadata key {key!r}") from exc
-    except ValueError as exc:
-        raise FormatError(f"checkpoint metadata {key!r} is not a number") from exc
+def checked_params(shapes: dict[str, tuple[int, ...]], checkpoint: Checkpoint,
+                   prefix: str = PARAM_PREFIX) -> dict[str, np.ndarray]:
+    """The checkpoint's ``<prefix><path>`` arrays by parameter path, after
+    checking them against the expected shapes.
 
-
-def specs_from_checkpoint(
-    checkpoint: Checkpoint,
-) -> tuple[MappingSpec, DerivativeSpec, ComposerConfig]:
-    try:
-        mapping_spec = MappingSpec(
-            in_channels=_meta_int(checkpoint, "model.in_channels"),
-            channels=_meta_int(checkpoint, "model.mapping_channels"),
-            blocks=_meta_int(checkpoint, "model.mapping_blocks"),
-            kernel=_meta_int(checkpoint, "model.kernel_size"),
-        )
-        derivative_spec = DerivativeSpec(
-            in_channels=mapping_spec.in_channels,
-            channels=_meta_int(checkpoint, "model.derivative_channels"),
-            kernel=mapping_spec.kernel,
-        )
-        composer_cfg = ComposerConfig(
-            order=_meta_int(checkpoint, "composer.order"),
-            lam=_meta_float(checkpoint, "composer.lambda"),
-            variant=checkpoint.metadata.get("composer.variant", "with_k_residual"),
-            g0=checkpoint.metadata.get("composer.g0", "f_out"),
-        )
-    except ValueError as exc:
-        raise FormatError(f"checkpoint metadata describes an invalid model: {exc}") from exc
-    return mapping_spec, derivative_spec, composer_cfg
+    The checkpoint must carry exactly these tensors; the first missing,
+    extra, or shape-mismatched one (sorted order) is named in the error.
+    """
+    stored = {
+        name[len(prefix):]: array
+        for name, array in checkpoint.tensors.items()
+        if name.startswith(prefix)
+    }
+    for name in sorted(shapes):
+        if name not in stored:
+            raise FormatError(f"checkpoint missing tensor {prefix}{name}")
+    for name in sorted(stored):
+        if name not in shapes:
+            raise FormatError(f"checkpoint has unknown tensor {prefix}{name}")
+        if stored[name].shape != shapes[name]:
+            raise FormatError(
+                f"checkpoint tensor {prefix}{name} has shape "
+                f"{stored[name].shape}, model expects {shapes[name]}"
+            )
+    return stored
 
 
 def load_params_into(params: ParamSet, checkpoint: Checkpoint) -> None:
-    """Copy ``param.*`` tensors into an existing ParamSet.
-
-    The checkpoint must carry exactly the model's parameters; the first
-    missing, extra, or shape-mismatched tensor (sorted order) is named in
-    the error.
-    """
-    stored = {
-        name[len(PARAM_PREFIX):]: array
-        for name, array in checkpoint.tensors.items()
-        if name.startswith(PARAM_PREFIX)
-    }
-    for name in params.names():
-        if name not in stored:
-            raise FormatError(f"checkpoint missing tensor {PARAM_PREFIX}{name}")
-    for name in sorted(stored):
-        if name not in params:
-            raise FormatError(f"checkpoint has unknown tensor {PARAM_PREFIX}{name}")
-        target = params[name]
-        if stored[name].shape != target.data.shape:
-            raise FormatError(
-                f"checkpoint tensor {PARAM_PREFIX}{name} has shape "
-                f"{stored[name].shape}, model expects {target.data.shape}"
-            )
-    for name, array in stored.items():
+    """Copy ``param.*`` tensors into an existing ParamSet, checked as in
+    ``checked_params``."""
+    shapes = {name: tensor.data.shape for name, tensor in params.items()}
+    for name, array in checked_params(shapes, checkpoint).items():
         params[name].data[...] = array
-
-
-def model_from_checkpoint(
-    checkpoint: Checkpoint,
-) -> tuple[Callable[[Tensor], Tensor], Callable[[Tensor, Tensor], Tensor], ComposerConfig]:
-    """Rebuild forward callables (mapping, derivative) from a checkpoint.
-
-    Order-0 checkpoints carry no derivative parameters; asking for one with a
-    positive composer order is a format error.
-    """
-    mapping_spec, derivative_spec, composer_cfg = specs_from_checkpoint(checkpoint)
-    has_derivative = any(
-        name.startswith(PARAM_PREFIX + "derivative.") for name in checkpoint.tensors
-    )
-    if composer_cfg.order > 0 and not has_derivative:
-        raise FormatError(
-            f"checkpoint has composer order {composer_cfg.order} but no derivative parameters"
-        )
-    params = init_params(mapping_spec, 0)
-    if has_derivative:
-        params = params.merge(init_params(derivative_spec, 0))
-    load_params_into(params, checkpoint)
-
-    def mapping_fn(y: Tensor) -> Tensor:
-        return forward_mapping(params, mapping_spec, y)
-
-    def derivative_fn(g_k: Tensor, y: Tensor) -> Tensor:
-        return forward_derivative(params, derivative_spec, g_k, y)
-
-    return mapping_fn, derivative_fn, composer_cfg

@@ -24,8 +24,11 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import ppm  # read_ppm through the module: perfbench/tracing.py wraps ppm.read_ppm
 from .autodiff import ShapeError, Tensor
+from .degrade import read_manifest
 from .errors import FormatError
+from .trainer import Model
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -136,27 +139,21 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     The restored output is clamped to [0, 1] before computing metrics (files
     on disk are 8-bit anyway). Rows follow manifest index order.
     """
-    from .checkpoint import model_from_checkpoint  # deferred: avoids cycle
-    from .composer import compose_orders
-    from .degrade import read_manifest
-    from .ppm import read_ppm
-
     corpus_dir = Path(corpus_dir)
-    mapping_fn, derivative_fn, composer_cfg = model_from_checkpoint(checkpoint)
+    model = Model.from_checkpoint(checkpoint)
     entries = read_manifest(corpus_dir / "manifest.tsv")
     report = MetricReport()
     psnr_sum, ssim_sum = 0.0, 0.0
     for entry in entries:
-        clean = read_ppm(corpus_dir / entry.clean_file)
-        degraded = read_ppm(corpus_dir / entry.degraded_file)
+        clean = ppm.read_ppm(corpus_dir / entry.clean_file)
+        degraded = ppm.read_ppm(corpus_dir / entry.degraded_file)
         if clean.shape != degraded.shape:
             raise FormatError(
                 f"{entry.clean_file}/{entry.degraded_file}: pair shapes differ "
                 f"({clean.shape} vs {degraded.shape})"
             )
         y = Tensor(degraded.data[None])
-        trace = compose_orders(mapping_fn, derivative_fn, y, composer_cfg)
-        restored = Tensor(np.clip(trace.output.data[0], 0.0, 1.0))
+        restored = Tensor(np.clip(model.forward(y).output.data[0], 0.0, 1.0))
         row = MetricRow(
             index=entry.index,
             file=entry.degraded_file,

@@ -34,8 +34,7 @@ class MappingSpec:
     kernel: int = 3
 
     def __post_init__(self):
-        if self.kernel % 2 != 1 or self.kernel < 1:
-            raise ValueError(f"kernel size must be odd and positive, got {self.kernel}")
+        _check_spec(self)
         if self.blocks < 0:
             raise ValueError(f"block count must be >= 0, got {self.blocks}")
 
@@ -47,8 +46,17 @@ class DerivativeSpec:
     kernel: int = 3
 
     def __post_init__(self):
-        if self.kernel % 2 != 1 or self.kernel < 1:
-            raise ValueError(f"kernel size must be odd and positive, got {self.kernel}")
+        _check_spec(self)
+
+
+def _check_spec(spec: MappingSpec | DerivativeSpec) -> None:
+    if spec.kernel % 2 != 1 or spec.kernel < 1:
+        raise ValueError(f"kernel size must be odd and positive, got {spec.kernel}")
+    if spec.in_channels < 1 or spec.channels < 1:
+        raise ValueError(
+            f"channel counts must be >= 1, got in_channels={spec.in_channels}, "
+            f"channels={spec.channels}"
+        )
 
 
 class ParamSet:
@@ -85,23 +93,14 @@ class ParamSet:
         for tensor in self._by_name.values():
             tensor.grad = None
 
-    def merge(self, other: "ParamSet") -> "ParamSet":
-        merged = ParamSet()
-        for name, tensor in self.items():
-            merged.add(name, tensor)
-        for name, tensor in other.items():
-            merged.add(name, tensor)
-        return merged
 
-
-def _draw_conv(rng: SplitMix64, cout: int, cin: int, kernel: int) -> tuple[Tensor, Tensor]:
-    fan_in = cin * kernel * kernel
-    std = math.sqrt(2.0 / fan_in)
-    weight = rng.gaussians(cout * cin * kernel * kernel).reshape(cout, cin, kernel, kernel) * std
-    return Tensor(weight), Tensor.zeros((cout,))
-
-
-def _mapping_layers(spec: MappingSpec) -> list[tuple[str, int, int]]:
+def _conv_layers(spec: MappingSpec | DerivativeSpec) -> list[tuple[str, int, int]]:
+    """(layer path, Cout, Cin) of every conv of one network, in init draw order."""
+    if isinstance(spec, DerivativeSpec):
+        return [("derivative.conv1", spec.channels, 2 * spec.in_channels),
+                ("derivative.conv2", spec.in_channels, spec.channels)]
+    if not isinstance(spec, MappingSpec):
+        raise TypeError(f"unsupported spec type {type(spec).__name__}")
     layers = [("mapping.conv_in", spec.channels, spec.in_channels)]
     for b in range(spec.blocks):
         layers.append((f"mapping.block{b}.conv1", spec.channels, spec.channels))
@@ -110,31 +109,41 @@ def _mapping_layers(spec: MappingSpec) -> list[tuple[str, int, int]]:
     return layers
 
 
-def init_params(spec: MappingSpec | DerivativeSpec, seed: int) -> ParamSet:
-    """Fresh parameters for one network; same seed -> bit-identical result."""
+def param_count(spec: MappingSpec | DerivativeSpec) -> int:
+    """len(param_shapes(spec)), computed without listing the layers."""
+    convs = 2 * spec.blocks + 2 if isinstance(spec, MappingSpec) else 2
+    return 2 * convs
+
+
+def param_shapes(spec: MappingSpec | DerivativeSpec) -> dict[str, tuple[int, ...]]:
+    """Parameter path -> shape for one network, in init draw order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, cout, cin in _conv_layers(spec):
+        shapes[name + ".weight"] = (cout, cin, spec.kernel, spec.kernel)
+        shapes[name + ".bias"] = (cout,)
+    return shapes
+
+
+def init_params(spec: MappingSpec | DerivativeSpec, seed: int,
+                params: ParamSet | None = None) -> ParamSet:
+    """Fresh parameters for one network, added to ``params`` when given;
+    same seed -> bit-identical result."""
     rng = SplitMix64(seed)
-    params = ParamSet()
-    if isinstance(spec, MappingSpec):
-        layers = _mapping_layers(spec)
-    elif isinstance(spec, DerivativeSpec):
-        layers = [
-            ("derivative.conv1", spec.channels, 2 * spec.in_channels),
-            ("derivative.conv2", spec.in_channels, spec.channels),
-        ]
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
-    for name, cout, cin in layers:
-        weight, bias = _draw_conv(rng, cout, cin, spec.kernel)
-        params.add(name + ".weight", weight)
-        params.add(name + ".bias", bias)
+    params = ParamSet() if params is None else params
+    for name, shape in param_shapes(spec).items():
+        if len(shape) == 1:
+            params.add(name, Tensor.zeros(shape))
+        else:
+            std = math.sqrt(2.0 / math.prod(shape[1:]))
+            params.add(name, Tensor(rng.gaussians(math.prod(shape)).reshape(shape) * std))
     return params
 
 
 def zero_params(spec: MappingSpec | DerivativeSpec) -> ParamSet:
     """All-zero parameters (the mapping net is then the identity)."""
-    params = init_params(spec, 0)
-    for _name, tensor in params.items():
-        tensor.data[...] = 0.0
+    params = ParamSet()
+    for name, shape in param_shapes(spec).items():
+        params.add(name, Tensor.zeros(shape))
     return params
 
 

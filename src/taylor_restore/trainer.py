@@ -33,12 +33,13 @@ from .checkpoint import (
     MOMENT_V_PREFIX,
     PARAM_PREFIX,
     Checkpoint,
-    _meta_int,
+    checked_params,
     load_checkpoint,
     load_params_into,
+    meta_value,
     save_checkpoint,
 )
-from .composer import ComposerConfig, compose_orders, framework_loss_terms
+from .composer import ComposerConfig, ComposerTrace, compose_orders, framework_loss_terms
 from .degrade import read_manifest
 from .errors import ConfigError, DivergenceError, FormatError
 from .networks import (
@@ -48,6 +49,8 @@ from .networks import (
     forward_derivative,
     forward_mapping,
     init_params,
+    param_count,
+    param_shapes,
 )
 from .ppm import read_ppm
 from .prng import SplitMix64, derive_stream
@@ -195,56 +198,109 @@ def sample_patch_batch(corpus: Corpus, patch_size: int, batch_size: int,
     return Tensor(np.stack(degraded_patches)), Tensor(np.stack(clean_patches))
 
 
-def build_params(mapping_spec: MappingSpec, derivative_spec: DerivativeSpec,
-                 order: int, seed: int) -> ParamSet:
-    """Fresh parameters for a run; order 0 has no derivative net at all."""
-    params = init_params(mapping_spec, derive_stream(seed, STREAM_INIT_MAPPING))
-    if order > 0:
-        params = params.merge(
-            init_params(derivative_spec, derive_stream(seed, STREAM_INIT_DERIVATIVE))
+# Checkpoint metadata describing a model: key -> (part, field, parser). The
+# derivative net takes in_channels and kernel from the mapping net.
+MODEL_METADATA = {
+    "model.in_channels": ("mapping", "in_channels", int),
+    "model.mapping_channels": ("mapping", "channels", int),
+    "model.mapping_blocks": ("mapping", "blocks", int),
+    "model.kernel_size": ("mapping", "kernel", int),
+    "model.derivative_channels": ("derivative", "channels", int),
+    "composer.order": ("composer", "order", int),
+    "composer.lambda": ("composer", "lam", float),
+    "composer.variant": ("composer", "variant", str),
+    "composer.g0": ("composer", "g0", str),
+}
+
+
+@dataclass
+class Model:
+    """The mapping net, the derivative net and their series composition, with
+    one ParamSet holding both nets' parameters (order 0 has no derivative
+    parameters at all)."""
+    mapping: MappingSpec
+    derivative: DerivativeSpec
+    composer: ComposerConfig
+    params: ParamSet
+
+    @classmethod
+    def init(cls, mapping: MappingSpec, derivative: DerivativeSpec,
+             composer: ComposerConfig, seed: int) -> "Model":
+        """Fresh parameters: the mapping net from stream 1 of ``seed``, then
+        the derivative net from stream 2 when the order is positive."""
+        params = init_params(mapping, derive_stream(seed, STREAM_INIT_MAPPING))
+        if composer.order > 0:
+            init_params(derivative, derive_stream(seed, STREAM_INIT_DERIVATIVE), params)
+        return cls(mapping, derivative, composer, params)
+
+    def forward(self, y: Tensor) -> ComposerTrace:
+        # Module-level names, looked up per call: perfbench/tracing.py wraps them.
+        return compose_orders(
+            lambda t: forward_mapping(self.params, self.mapping, t),
+            lambda g_k, t: forward_derivative(self.params, self.derivative, g_k, t),
+            y, self.composer,
         )
-    return params
+
+    def metadata(self) -> dict[str, str]:
+        return {key: str(getattr(getattr(self, part), name))
+                for key, (part, name, _) in MODEL_METADATA.items()}
+
+    @classmethod
+    def from_checkpoint(cls, checkpoint: Checkpoint) -> "Model":
+        """Rebuild a model from checkpoint metadata and its ``param.*`` tensors.
+
+        The tensors' count, names and shapes are checked against the specs
+        before any parameter is built, so metadata describing a huge model
+        fails without allocating it. A positive order needs derivative
+        parameters; the composer's variant and g0 take their defaults when
+        absent.
+        """
+        fields: dict[str, dict] = {"mapping": {}, "derivative": {}, "composer": {}}
+        for key, (part, name, parse) in MODEL_METADATA.items():
+            if parse is not str or key in checkpoint.metadata:
+                fields[part][name] = meta_value(checkpoint, key, parse)
+        try:
+            mapping = MappingSpec(**fields["mapping"])
+            derivative = DerivativeSpec(in_channels=mapping.in_channels,
+                                        kernel=mapping.kernel, **fields["derivative"])
+            composer = ComposerConfig(**fields["composer"])
+        except ValueError as exc:
+            raise FormatError(f"checkpoint metadata describes an invalid model: {exc}") from exc
+        stored = [name for name in checkpoint.tensors if name.startswith(PARAM_PREFIX)]
+        nets = [mapping]
+        if any(name.startswith(PARAM_PREFIX + "derivative.") for name in stored):
+            nets.append(derivative)
+        elif composer.order > 0:
+            raise FormatError(
+                f"checkpoint has composer order {composer.order} but no derivative parameters"
+            )
+        expected = sum(param_count(net) for net in nets)
+        if len(stored) != expected:
+            raise FormatError(
+                f"checkpoint has {len(stored)} parameter tensors, its metadata "
+                f"describes a model with {expected}"
+            )
+        shapes = {name: shape for net in nets for name, shape in param_shapes(net).items()}
+        params = ParamSet()
+        for name, array in checked_params(shapes, checkpoint).items():
+            params.add(name, Tensor(array))
+        return cls(mapping, derivative, composer, params)
 
 
-def make_train_checkpoint(params: ParamSet, state: AdamState,
-                          mapping_spec: MappingSpec, derivative_spec: DerivativeSpec,
-                          composer_cfg: ComposerConfig, epoch: int,
+def make_train_checkpoint(model: Model, state: AdamState, epoch: int,
                           rng_state: int) -> Checkpoint:
     checkpoint = Checkpoint()
     checkpoint.metadata = {
-        "model.in_channels": str(mapping_spec.in_channels),
-        "model.mapping_channels": str(mapping_spec.channels),
-        "model.mapping_blocks": str(mapping_spec.blocks),
-        "model.kernel_size": str(mapping_spec.kernel),
-        "model.derivative_channels": str(derivative_spec.channels),
-        "composer.order": str(composer_cfg.order),
-        "composer.lambda": repr(composer_cfg.lam),
-        "composer.variant": composer_cfg.variant,
-        "composer.g0": composer_cfg.g0,
+        **model.metadata(),
         "train.epoch": str(epoch),
         "train.step": str(state.t),
         "train.rng_state": str(rng_state),
     }
-    for name, tensor in params.items():
+    for name, tensor in model.params.items():
         checkpoint.tensors[PARAM_PREFIX + name] = tensor.data.copy()
         checkpoint.tensors[MOMENT_M_PREFIX + name] = state.m[name].copy()
         checkpoint.tensors[MOMENT_V_PREFIX + name] = state.v[name].copy()
     return checkpoint
-
-
-def _restore_moments(params: ParamSet, state: AdamState, checkpoint: Checkpoint) -> None:
-    for name in params.names():
-        for prefix, store in ((MOMENT_M_PREFIX, state.m), (MOMENT_V_PREFIX, state.v)):
-            key = prefix + name
-            if key not in checkpoint.tensors:
-                raise FormatError(f"checkpoint missing tensor {key}")
-            moment = checkpoint.tensors[key]
-            if moment.shape != params[name].data.shape:
-                raise FormatError(
-                    f"checkpoint tensor {key} has shape {moment.shape}, "
-                    f"model expects {params[name].data.shape}"
-                )
-            store[name] = moment.copy()
 
 
 def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
@@ -264,28 +320,25 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    params = build_params(mapping_spec, derivative_spec, composer_cfg.order, cfg.seed)
+    model = Model.init(mapping_spec, derivative_spec, composer_cfg, cfg.seed)
+    params = model.params
     state = AdamState.for_params(params)
     rng = SplitMix64(derive_stream(cfg.seed, STREAM_DATA))
     start_epoch = 0
     if resume_from is not None:
         checkpoint = load_checkpoint(resume_from)
         load_params_into(params, checkpoint)
-        _restore_moments(params, state, checkpoint)
-        state.t = _meta_int(checkpoint, "train.step")
-        start_epoch = _meta_int(checkpoint, "train.epoch")
-        rng.state = _meta_int(checkpoint, "train.rng_state")
+        shapes = {name: tensor.data.shape for name, tensor in params.items()}
+        state.m.update(checked_params(shapes, checkpoint, MOMENT_M_PREFIX))
+        state.v.update(checked_params(shapes, checkpoint, MOMENT_V_PREFIX))
+        state.t = meta_value(checkpoint, "train.step")
+        start_epoch = meta_value(checkpoint, "train.epoch")
+        rng.state = meta_value(checkpoint, "train.rng_state")
         if start_epoch >= cfg.epochs:
             raise ConfigError(
                 f"checkpoint already covers {start_epoch} epochs; "
                 f"config asks for {cfg.epochs}"
             )
-
-    def mapping_fn(y: Tensor) -> Tensor:
-        return forward_mapping(params, mapping_spec, y)
-
-    def derivative_fn(g_k: Tensor, y: Tensor) -> Tensor:
-        return forward_derivative(params, derivative_spec, g_k, y)
 
     steps_per_epoch = math.ceil(len(corpus) / cfg.batch_size)
     final_path: Path | None = None
@@ -299,7 +352,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                 )
                 params.zero_grads()
                 with Graph() as graph:
-                    trace = compose_orders(mapping_fn, derivative_fn, degraded, composer_cfg)
+                    trace = model.forward(degraded)
                     total, loss_output, loss_coarse = framework_loss_terms(
                         trace, clean, composer_cfg
                     )
@@ -322,10 +375,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
             due = cfg.checkpoint_every > 0 and completed % cfg.checkpoint_every == 0
             if due or completed == cfg.epochs:
                 path = out_dir / f"ckpt_epoch{completed:04d}.bin"
-                save_checkpoint(path, make_train_checkpoint(
-                    params, state, mapping_spec, derivative_spec, composer_cfg,
-                    completed, rng.state,
-                ))
+                save_checkpoint(path, make_train_checkpoint(model, state, completed, rng.state))
                 final_path = path
     assert final_path is not None
     return final_path

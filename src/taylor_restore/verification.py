@@ -21,10 +21,10 @@ from .autodiff import (
     scale,
     sum_all,
 )
-from .composer import ComposerConfig, VARIANTS, compose_orders, framework_loss
-from .networks import DerivativeSpec, MappingSpec, forward_derivative, forward_mapping
+from .composer import ComposerConfig, VARIANTS, framework_loss
+from .networks import DerivativeSpec, MappingSpec
 from .prng import SplitMix64, derive_stream
-from .trainer import build_params
+from .trainer import Model
 
 PER_OP_THRESHOLD = 1e-6
 COMPOSED_THRESHOLD = 1e-4
@@ -109,23 +109,20 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
 def build_tiny_model(variant: str, seed: int = 7):
     """Loss closure + parameter list for the standard tiny composed model:
     1x3x8x8 input, width-4 nets, one residual block, order 3."""
-    mapping_spec = MappingSpec(in_channels=3, channels=TINY_CHANNELS, blocks=TINY_BLOCKS)
-    derivative_spec = DerivativeSpec(in_channels=3, channels=TINY_CHANNELS)
-    composer_cfg = ComposerConfig(order=TINY_ORDER, lam=1.0, variant=variant)
-    params = build_params(mapping_spec, derivative_spec, TINY_ORDER, seed)
+    model = Model.init(
+        MappingSpec(in_channels=3, channels=TINY_CHANNELS, blocks=TINY_BLOCKS),
+        DerivativeSpec(in_channels=3, channels=TINY_CHANNELS),
+        ComposerConfig(order=TINY_ORDER, lam=1.0, variant=variant),
+        seed,
+    )
     data_rng = SplitMix64(derive_stream(seed, 99))
     y = _rand(data_rng, (1, 3, TINY_IMAGE, TINY_IMAGE), 0.0, 1.0)
     x = _rand(data_rng, (1, 3, TINY_IMAGE, TINY_IMAGE), 0.0, 1.0)
 
     def loss_fn() -> Tensor:
-        trace = compose_orders(
-            lambda t: forward_mapping(params, mapping_spec, t),
-            lambda g_k, t: forward_derivative(params, derivative_spec, g_k, t),
-            y, composer_cfg,
-        )
-        return framework_loss(trace, x, composer_cfg)
+        return framework_loss(model.forward(y), x, model.composer)
 
-    return loss_fn, params.tensors()
+    return loss_fn, model.params.tensors()
 
 
 def composed_gradchecks(seed: int = 7) -> list[tuple[str, float]]:

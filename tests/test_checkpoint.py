@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import rand_tensor
+from taylor_restore import trainer
 from taylor_restore.checkpoint import (
     MAGIC,
     Checkpoint,
     load_checkpoint,
     load_params_into,
-    model_from_checkpoint,
     save_checkpoint,
-    specs_from_checkpoint,
 )
 from taylor_restore.composer import ComposerConfig
 from taylor_restore.errors import FormatError
@@ -25,7 +24,7 @@ from taylor_restore.networks import (
     init_params,
 )
 from taylor_restore.prng import SplitMix64
-from taylor_restore.trainer import AdamState, build_params, make_train_checkpoint
+from taylor_restore.trainer import AdamState, Model, make_train_checkpoint
 
 
 def sample_checkpoint():
@@ -106,6 +105,17 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 1 << 63), (1 << 32, 1 << 32, 0), (0, (1 << 64) - 1)])
+def test_zero_size_tensor_with_unusable_extents_rejected(tmp_path, shape):
+    # no payload bytes, so nothing is truncated, but numpy cannot reshape to it
+    path = tmp_path / "huge.bin"
+    name = b"param.w"
+    path.write_bytes(MAGIC + struct.pack("<III", 1, 0, 1) + struct.pack("<I", len(name)) + name
+                     + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}Q", *shape))
+    with pytest.raises(FormatError, match="unusable shape"):
+        load_checkpoint(path)
+
+
 # --- parameter loading ---------------------------------------------------------
 
 def mapping_checkpoint(spec, seed=1):
@@ -154,46 +164,71 @@ def test_shape_mismatch_is_named():
 def train_style_checkpoint(order, seed=5):
     mapping_spec = MappingSpec(channels=4, blocks=1)
     derivative_spec = DerivativeSpec(in_channels=3, channels=4)
-    params = build_params(mapping_spec, derivative_spec, order, seed)
-    state = AdamState.for_params(params)
     cfg = ComposerConfig(order=order, lam=0.5, variant="concat_only", g0="y")
-    return mapping_spec, derivative_spec, params, make_train_checkpoint(
-        params, state, mapping_spec, derivative_spec, cfg, epoch=0, rng_state=17)
+    model = Model.init(mapping_spec, derivative_spec, cfg, seed)
+    return mapping_spec, derivative_spec, model.params, make_train_checkpoint(
+        model, AdamState.for_params(model.params), epoch=0, rng_state=17)
 
 
 def test_specs_roundtrip_through_metadata():
     mapping_spec, derivative_spec, _, ckpt = train_style_checkpoint(order=2)
-    m, d, c = specs_from_checkpoint(ckpt)
-    assert m == mapping_spec
-    assert d == derivative_spec
+    model = Model.from_checkpoint(ckpt)
+    assert model.mapping == mapping_spec
+    assert model.derivative == derivative_spec
+    c = model.composer
     assert (c.order, c.lam, c.variant, c.g0) == (2, 0.5, "concat_only", "y")
     assert ckpt.metadata["train.rng_state"] == "17"
+    assert model.metadata() == {key: value for key, value in ckpt.metadata.items()
+                                if not key.startswith("train.")}
 
 
 def test_model_from_checkpoint_reproduces_forward(tmp_path):
-    mapping_spec, _, params, ckpt = train_style_checkpoint(order=2)
+    mapping_spec, derivative_spec, params, ckpt = train_style_checkpoint(order=2)
     path = tmp_path / "model.bin"
     save_checkpoint(path, ckpt)
-    mapping_fn, derivative_fn, cfg = model_from_checkpoint(load_checkpoint(path))
+    model = Model.from_checkpoint(load_checkpoint(path))
     y = rand_tensor(8, (1, 3, 8, 8), 0.0, 1.0)
     direct = forward_mapping(params, mapping_spec, y)
-    assert mapping_fn(y).data.tobytes() == direct.data.tobytes()
-    out = derivative_fn(y, y)
-    assert out.shape == y.shape
-    assert cfg.order == 2
+    assert forward_mapping(model.params, model.mapping, y).data.tobytes() == direct.data.tobytes()
+    original = Model(mapping_spec, derivative_spec, model.composer, params)
+    assert model.forward(y).output.data.tobytes() == original.forward(y).output.data.tobytes()
+    assert model.composer.order == 2
 
 
 def test_order_zero_checkpoint_has_no_derivative_tensors():
     _, _, _, ckpt = train_style_checkpoint(order=0)
     assert not any("derivative" in name for name in ckpt.tensors)
-    mapping_fn, _, cfg = model_from_checkpoint(ckpt)
-    assert cfg.order == 0
+    model = Model.from_checkpoint(ckpt)
+    assert model.composer.order == 0
     y = rand_tensor(9, (1, 3, 8, 8), 0.0, 1.0)
-    assert mapping_fn(y).shape == y.shape
+    trace = model.forward(y)
+    assert trace.output is trace.f_out and trace.output.shape == y.shape
 
 
 def test_positive_order_without_derivative_params_rejected():
     _, _, _, ckpt = train_style_checkpoint(order=0)
     ckpt.metadata["composer.order"] = "3"
     with pytest.raises(FormatError, match="no derivative parameters"):
-        model_from_checkpoint(ckpt)
+        Model.from_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("model.mapping_blocks", str(10**7), "has 12 parameter tensors"),
+    ("model.mapping_channels", str(1 << 40), "has shape"),
+    ("model.kernel_size", str((1 << 40) + 1), "has shape"),
+])
+def test_metadata_of_another_model_fails_before_building_it(monkeypatch, key, value, message):
+    # from_checkpoint draws no init and counts the stored tensors before it
+    # lists the layers, so metadata naming a huge model costs nothing
+    _, _, _, ckpt = train_style_checkpoint(order=2)
+    ckpt.metadata[key] = value
+    real_shapes = trainer.param_shapes
+
+    def bounded_shapes(spec):
+        assert getattr(spec, "blocks", 0) <= 1, "layers listed before the count check"
+        return real_shapes(spec)
+
+    monkeypatch.setattr(trainer, "param_shapes", bounded_shapes)
+    monkeypatch.setattr(trainer, "init_params", None)
+    with pytest.raises(FormatError, match=message):
+        Model.from_checkpoint(ckpt)

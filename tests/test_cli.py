@@ -20,7 +20,7 @@ from taylor_restore.cli import main
 from taylor_restore.composer import ComposerConfig
 from taylor_restore.networks import DerivativeSpec, MappingSpec, zero_params
 from taylor_restore.ppm import write_ppm
-from taylor_restore.trainer import AdamState, make_train_checkpoint
+from taylor_restore.trainer import AdamState, Model, make_train_checkpoint
 
 TINY_MODEL_SETS = [
     "--set", "model.mapping_channels=4",
@@ -293,18 +293,18 @@ def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):
     data = synthesize(tmp_path / "data")
     built = []
 
-    def recording_build_params(*args):
-        params = real_build_params(*args)
-        built.append((params, {name: t.data.copy() for name, t in params.items()}))
-        return params
+    def recording_init(*args):
+        model = real_init(*args)
+        built.append((model.params, {name: t.data.copy() for name, t in model.params.items()}))
+        return model
 
     def poisoning_backward(loss, graph):
         real_backward(loss, graph)
         params, _ = built[0]
         params[params.names()[-1]].grad[...] = np.nan
 
-    real_build_params, real_backward = trainer.build_params, trainer.backward
-    monkeypatch.setattr(trainer, "build_params", recording_build_params)
+    real_init, real_backward = Model.init, trainer.backward
+    monkeypatch.setattr(Model, "init", recording_init)
     monkeypatch.setattr(trainer, "backward", poisoning_backward)
     out = tmp_path / "run"
     assert main(train_args(data, out)) == 4
@@ -321,9 +321,9 @@ def identity_checkpoint(path):
     # an order-0 model with all-zero convolutions: restoration == input
     mapping_spec = MappingSpec(channels=4, blocks=1)
     derivative_spec = DerivativeSpec(in_channels=3, channels=4)
-    params = zero_params(mapping_spec)
-    ckpt = make_train_checkpoint(params, AdamState.for_params(params), mapping_spec,
-                                 derivative_spec, ComposerConfig(order=0),
+    model = Model(mapping_spec, derivative_spec, ComposerConfig(order=0),
+                  zero_params(mapping_spec))
+    ckpt = make_train_checkpoint(model, AdamState.for_params(model.params),
                                  epoch=0, rng_state=0)
     save_checkpoint(path, ckpt)
     return path
@@ -384,6 +384,11 @@ def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("command, key, value", [
     ("eval", "composer.variant", b"\xff\xfe"),  # not UTF-8
     ("eval", "model.kernel_size", b"4"),  # even kernel: MappingSpec rejects it
+    ("eval", "model.mapping_channels", b"0"),  # MappingSpec rejects zero channels
+    # a model of another size: the stored tensors are checked before anything is built
+    ("eval", "model.mapping_channels", str(1 << 40).encode()),
+    ("eval", "model.kernel_size", str((1 << 40) + 1).encode()),
+    ("eval", "model.mapping_blocks", str(10**7).encode()),
     ("train", "train.step", b"x"),  # read only when resuming
     ("train", "train.epoch", b"-3"),  # would train 7 epochs of a 4-epoch run
     ("train", "train.step", b"-1"),  # would divide by zero in Adam's bias correction

@@ -12,7 +12,6 @@ from taylor_restore.autodiff import Graph, ShapeError, backward, mean_all, mul
 from taylor_restore.networks import (
     DerivativeSpec,
     MappingSpec,
-    ParamSet,
     forward_derivative,
     forward_mapping,
     init_params,
@@ -27,6 +26,11 @@ def test_spec_validation():
         MappingSpec(blocks=-1)
     with pytest.raises(ValueError):
         DerivativeSpec(kernel=2)
+    for spec in (MappingSpec, DerivativeSpec):
+        with pytest.raises(ValueError, match="channel counts"):
+            spec(in_channels=0)
+        with pytest.raises(ValueError, match="channel counts"):
+            spec(channels=0)
 
 
 def test_init_is_deterministic_and_seed_sensitive():
@@ -110,13 +114,6 @@ def test_param_set_interface():
         tensor.grad = np.zeros(tensor.shape)
     params.zero_grads()
     assert all(t.grad is None for t in params.tensors())
-
-    other = ParamSet()
-    other.add("extra", rand_tensor(16, (2,)))
-    merged = ParamSet.merge(params, other)
-    assert len(merged) == 5 and "extra" in merged
-    with pytest.raises(ValueError):
-        ParamSet.merge(params, params)  # duplicate names
 
 
 def test_shared_weight_gradients_sum_over_stages():

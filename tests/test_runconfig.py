@@ -152,6 +152,12 @@ def test_builders_wrap_validation_as_config_errors():
         composer_config_from(effective_config(None, [("composer.order", "9")]))
     with pytest.raises(ConfigError, match="model"):
         mapping_spec_from(effective_config(None, [("model.kernel_size", "4")]))
+    for key in ("model.in_channels", "model.mapping_channels"):
+        with pytest.raises(ConfigError, match="model"):
+            mapping_spec_from(effective_config(None, [(key, "0")]))
+    for key in ("model.in_channels", "model.derivative_channels"):
+        with pytest.raises(ConfigError, match="model"):
+            derivative_spec_from(effective_config(None, [(key, "0")]))
     with pytest.raises(ConfigError):
         train_config_from(effective_config(None, [("train.batch_size", "0")]))
     with pytest.raises(ConfigError, match="degradation"):

@@ -26,8 +26,8 @@ from taylor_restore.trainer import (
     Corpus,
     CorpusImage,
     TrainConfig,
+    Model,
     adam_step,
-    build_params,
     load_corpus,
     lr_at,
     sample_patch_batch,
@@ -217,8 +217,8 @@ def test_load_corpus_rejects_mismatched_pair(tmp_path):
 def test_mapping_init_is_order_independent():
     # higher orders add a derivative net but must not disturb the mapping
     # net's starting point (independent init streams per network)
-    plain = build_params(TINY_MAPPING, TINY_DERIVATIVE, 0, seed=11)
-    composed = build_params(TINY_MAPPING, TINY_DERIVATIVE, 3, seed=11)
+    plain = Model.init(TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=0), seed=11).params
+    composed = Model.init(TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=3), seed=11).params
     assert not any(name.startswith("derivative.") for name in plain.names())
     assert any(name.startswith("derivative.") for name in composed.names())
     for name in plain.names():
