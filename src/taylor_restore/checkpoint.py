@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .networks import ParamSet
 # Not called here; perfbench/tracing.py wraps these two attributes of this module.
 from .networks import forward_derivative, forward_mapping  # noqa: F401
 
@@ -164,11 +163,3 @@ def checked_params(shapes: dict[str, tuple[int, ...]], checkpoint: Checkpoint,
                 f"{stored[name].shape}, model expects {shapes[name]}"
             )
     return stored
-
-
-def load_params_into(params: ParamSet, checkpoint: Checkpoint) -> None:
-    """Copy ``param.*`` tensors into an existing ParamSet, checked as in
-    ``checked_params``."""
-    shapes = {name: tensor.data.shape for name, tensor in params.items()}
-    for name, array in checked_params(shapes, checkpoint).items():
-        params[name].data[...] = array

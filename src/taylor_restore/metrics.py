@@ -152,6 +152,11 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
                 f"{entry.clean_file}/{entry.degraded_file}: pair shapes differ "
                 f"({clean.shape} vs {degraded.shape})"
             )
+        if clean.shape[0] != model.mapping.in_channels:
+            raise FormatError(
+                f"{entry.degraded_file} has {clean.shape[0]} channels, the checkpoint's "
+                f"model takes {model.mapping.in_channels}"
+            )
         y = Tensor(degraded.data[None])
         restored = Tensor(np.clip(model.forward(y).output.data[0], 0.0, 1.0))
         row = MetricRow(

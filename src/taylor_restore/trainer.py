@@ -35,7 +35,6 @@ from .checkpoint import (
     Checkpoint,
     checked_params,
     load_checkpoint,
-    load_params_into,
     meta_value,
     save_checkpoint,
 )
@@ -71,9 +70,6 @@ class TrainConfig:
     decay_factor: float = 0.2
     epochs: int = 100
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     checkpoint_every: int = 10  # 0 means final checkpoint only
 
     def __post_init__(self):
@@ -150,15 +146,7 @@ class CorpusImage:
     file: str
 
 
-@dataclass
-class Corpus:
-    images: list[CorpusImage]
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-
-def load_corpus(corpus_dir: str | Path) -> Corpus:
+def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir / "manifest.tsv")
     if not entries:
@@ -174,16 +162,16 @@ def load_corpus(corpus_dir: str | Path) -> Corpus:
             )
         images.append(CorpusImage(clean=clean.data, degraded=degraded.data,
                                   file=entry.degraded_file))
-    return Corpus(images=images)
+    return images
 
 
-def sample_patch_batch(corpus: Corpus, patch_size: int, batch_size: int,
+def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: int,
                        rng: SplitMix64) -> tuple[Tensor, Tensor]:
     """(degraded, clean) batch of co-located random crops, (B, C, p, p)."""
     degraded_patches = []
     clean_patches = []
     for _ in range(batch_size):
-        image = corpus.images[rng.randint(len(corpus))]
+        image = corpus[rng.randint(len(corpus))]
         _, height, width = image.clean.shape
         if height < patch_size or width < patch_size:
             raise ValueError(
@@ -251,9 +239,9 @@ class Model:
 
         The tensors' count, names and shapes are checked against the specs
         before any parameter is built, so metadata describing a huge model
-        fails without allocating it. A positive order needs derivative
-        parameters; the composer's variant and g0 take their defaults when
-        absent.
+        fails without allocating it. Derivative parameters are present exactly
+        when the order is positive; the composer's variant and g0 take their
+        defaults when absent.
         """
         fields: dict[str, dict] = {"mapping": {}, "derivative": {}, "composer": {}}
         for key, (part, name, parse) in MODEL_METADATA.items():
@@ -267,13 +255,11 @@ class Model:
         except ValueError as exc:
             raise FormatError(f"checkpoint metadata describes an invalid model: {exc}") from exc
         stored = [name for name in checkpoint.tensors if name.startswith(PARAM_PREFIX)]
-        nets = [mapping]
-        if any(name.startswith(PARAM_PREFIX + "derivative.") for name in stored):
-            nets.append(derivative)
-        elif composer.order > 0:
-            raise FormatError(
-                f"checkpoint has composer order {composer.order} but no derivative parameters"
-            )
+        has_derivative = any(name.startswith(PARAM_PREFIX + "derivative.") for name in stored)
+        if has_derivative != (composer.order > 0):
+            raise FormatError(f"checkpoint has composer order {composer.order} but "
+                              f"{'' if has_derivative else 'no '}derivative parameters")
+        nets = [mapping, derivative] if has_derivative else [mapping]
         expected = sum(param_count(net) for net in nets)
         if len(stored) != expected:
             raise FormatError(
@@ -307,10 +293,20 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
           derivative_spec: DerivativeSpec, composer_cfg: ComposerConfig,
           cfg: TrainConfig, out_dir: str | Path,
           resume_from: str | Path | None = None) -> Path:
-    """Train a model on a corpus; returns the final checkpoint path."""
+    """Train a model on a corpus; returns the final checkpoint path.
+
+    A resumed run takes its model, Adam moments and counters from the
+    checkpoint; a config describing another model is a ConfigError naming the
+    first differing key.
+    """
     corpus = load_corpus(corpus_dir)
-    for image in corpus.images:
-        _, height, width = image.clean.shape
+    for image in corpus:
+        channels, height, width = image.clean.shape
+        if channels != mapping_spec.in_channels:
+            raise ConfigError(
+                f"image {image.file} has {channels} channels, model.in_channels "
+                f"is {mapping_spec.in_channels}"
+            )
         if height < cfg.patch_size or width < cfg.patch_size:
             raise ConfigError(
                 f"image {image.file} is {height}x{width}, smaller than patch "
@@ -320,18 +316,22 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = Model.init(mapping_spec, derivative_spec, composer_cfg, cfg.seed)
-    params = model.params
-    state = AdamState.for_params(params)
     rng = SplitMix64(derive_stream(cfg.seed, STREAM_DATA))
     start_epoch = 0
-    if resume_from is not None:
+    if resume_from is None:
+        model = Model.init(mapping_spec, derivative_spec, composer_cfg, cfg.seed)
+        state = AdamState.for_params(model.params)
+    else:
         checkpoint = load_checkpoint(resume_from)
-        load_params_into(params, checkpoint)
-        shapes = {name: tensor.data.shape for name, tensor in params.items()}
-        state.m.update(checked_params(shapes, checkpoint, MOMENT_M_PREFIX))
-        state.v.update(checked_params(shapes, checkpoint, MOMENT_V_PREFIX))
-        state.t = meta_value(checkpoint, "train.step")
+        model = Model.from_checkpoint(checkpoint)
+        wanted = Model(mapping_spec, derivative_spec, composer_cfg, ParamSet()).metadata()
+        for key, value in model.metadata().items():
+            if value != wanted[key]:
+                raise ConfigError(f"checkpoint has {key} = {value}, config has {wanted[key]}")
+        shapes = {name: tensor.data.shape for name, tensor in model.params.items()}
+        state = AdamState(m=checked_params(shapes, checkpoint, MOMENT_M_PREFIX),
+                          v=checked_params(shapes, checkpoint, MOMENT_V_PREFIX),
+                          t=meta_value(checkpoint, "train.step"))
         start_epoch = meta_value(checkpoint, "train.epoch")
         rng.state = meta_value(checkpoint, "train.rng_state")
         if start_epoch >= cfg.epochs:
@@ -340,6 +340,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                 f"config asks for {cfg.epochs}"
             )
 
+    params = model.params
     steps_per_epoch = math.ceil(len(corpus) / cfg.batch_size)
     final_path: Path | None = None
     with open(out_dir / "loss.tsv", "w", encoding="ascii") as log:
@@ -354,7 +355,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                 with Graph() as graph:
                     trace = model.forward(degraded)
                     total, loss_output, loss_coarse = framework_loss_terms(
-                        trace, clean, composer_cfg
+                        trace, clean, model.composer
                     )
                 loss_value = total.item()
                 if not math.isfinite(loss_value):
@@ -366,7 +367,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                     if bad.size:
                         log.flush()
                         raise DivergenceError(state.t + 1, lr, float(bad[0]), f"gradient of {name}")
-                adam_step(params, state, lr, cfg.beta1, cfg.beta2, cfg.eps)
+                adam_step(params, state, lr)
                 log.write(
                     f"{epoch}\t{state.t}\t{lr!r}\t{loss_value!r}"
                     f"\t{loss_output.item()!r}\t{loss_coarse.item()!r}\n"

@@ -11,8 +11,8 @@ from taylor_restore import trainer
 from taylor_restore.checkpoint import (
     MAGIC,
     Checkpoint,
+    checked_params,
     load_checkpoint,
-    load_params_into,
     save_checkpoint,
 )
 from taylor_restore.composer import ComposerConfig
@@ -22,6 +22,7 @@ from taylor_restore.networks import (
     MappingSpec,
     forward_mapping,
     init_params,
+    param_shapes,
 )
 from taylor_restore.prng import SplitMix64
 from taylor_restore.trainer import AdamState, Model, make_train_checkpoint
@@ -119,44 +120,34 @@ def test_zero_size_tensor_with_unusable_extents_rejected(tmp_path, shape):
 # --- parameter loading ---------------------------------------------------------
 
 def mapping_checkpoint(spec, seed=1):
-    params = init_params(spec, seed)
     ckpt = Checkpoint()
-    for name, tensor in params.items():
+    for name, tensor in init_params(spec, seed).items():
         ckpt.tensors["param." + name] = tensor.data.copy()
-    return params, ckpt
-
-
-def test_load_params_into_copies_values():
-    spec = MappingSpec(channels=4, blocks=1)
-    source, ckpt = mapping_checkpoint(spec)
-    target = init_params(spec, 99)  # different values, same shapes
-    load_params_into(target, ckpt)
-    for name in source.names():
-        assert np.array_equal(target[name].data, source[name].data)
+    return ckpt
 
 
 def test_missing_tensor_is_named():
     spec = MappingSpec(channels=4, blocks=1)
-    _, ckpt = mapping_checkpoint(spec)
+    ckpt = mapping_checkpoint(spec)
     del ckpt.tensors["param.mapping.conv_in.bias"]
     with pytest.raises(FormatError, match=r"missing tensor param\.mapping\.conv_in\.bias"):
-        load_params_into(init_params(spec, 0), ckpt)
+        checked_params(param_shapes(spec), ckpt)
 
 
 def test_unknown_tensor_is_named():
     spec = MappingSpec(channels=4, blocks=1)
-    _, ckpt = mapping_checkpoint(spec)
+    ckpt = mapping_checkpoint(spec)
     ckpt.tensors["param.aaa_extra"] = np.zeros(2)
     with pytest.raises(FormatError, match=r"unknown tensor param\.aaa_extra"):
-        load_params_into(init_params(spec, 0), ckpt)
+        checked_params(param_shapes(spec), ckpt)
 
 
 def test_shape_mismatch_is_named():
     spec = MappingSpec(channels=4, blocks=1)
-    _, ckpt = mapping_checkpoint(spec)
+    ckpt = mapping_checkpoint(spec)
     ckpt.tensors["param.mapping.conv_in.weight"] = np.zeros((2, 2))
     with pytest.raises(FormatError, match=r"param\.mapping\.conv_in\.weight has shape"):
-        load_params_into(init_params(spec, 0), ckpt)
+        checked_params(param_shapes(spec), ckpt)
 
 
 # --- model reconstruction ---------------------------------------------------------
@@ -209,6 +200,13 @@ def test_positive_order_without_derivative_params_rejected():
     _, _, _, ckpt = train_style_checkpoint(order=0)
     ckpt.metadata["composer.order"] = "3"
     with pytest.raises(FormatError, match="no derivative parameters"):
+        Model.from_checkpoint(ckpt)
+
+
+def test_order_zero_with_derivative_params_rejected():
+    _, _, _, ckpt = train_style_checkpoint(order=2)
+    ckpt.metadata["composer.order"] = "0"
+    with pytest.raises(FormatError, match="order 0 but derivative parameters"):
         Model.from_checkpoint(ckpt)
 
 

@@ -106,7 +106,7 @@ def test_console_script_is_installed(tmp_path):
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "taylor_restore", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
 
 
@@ -268,6 +268,35 @@ def test_train_resume_flag(tmp_path):
         == (cont / "ckpt_epoch0004.bin").read_bytes()
 
 
+@pytest.mark.parametrize("sets, message", [
+    # the first differing key is named: lambda comes before variant
+    (["composer.variant=concat_only", "composer.lambda=0.5"],
+     "checkpoint has composer.lambda = 0.5, config has 1.0"),
+    (["composer.order=2"], "checkpoint has composer.order = 2, config has 1"),
+    (["model.mapping_channels=8"], "checkpoint has model.mapping_channels = 8, config has 4"),
+])
+def test_resume_with_another_model_is_config_error(tmp_path, capsys, sets, message):
+    """Resume takes the model from the checkpoint; a config describing another
+    one exits 2 before any step."""
+    data = synthesize(tmp_path / "data")
+    extra = [arg for item in sets for arg in ("--set", item)]
+    assert main(train_args(data, tmp_path / "half", extra=extra)) == 0
+    resumed = tmp_path / "resumed"
+    rc = main(train_args(data, resumed, epochs=4,
+                         extra=["--resume", str(tmp_path / "half" / "ckpt_epoch0002.bin")]))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not list(resumed.glob("ckpt_epoch*.bin"))
+
+
+def test_train_channel_count_mismatch_is_config_error(tmp_path, capsys):
+    data = synthesize(tmp_path / "data")
+    out = tmp_path / "run"
+    assert main(train_args(data, out, extra=["--set", "model.in_channels=1"])) == 2
+    assert "has 3 channels, model.in_channels is 1" in capsys.readouterr().err
+    assert not list(out.glob("ckpt_*"))
+
+
 def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
     """A checkpoint that cannot be put in place leaves the one already at its path
     whole, and the run exits 3."""
@@ -317,10 +346,10 @@ def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):
 
 # --- eval --------------------------------------------------------------------------------
 
-def identity_checkpoint(path):
+def identity_checkpoint(path, in_channels=3):
     # an order-0 model with all-zero convolutions: restoration == input
-    mapping_spec = MappingSpec(channels=4, blocks=1)
-    derivative_spec = DerivativeSpec(in_channels=3, channels=4)
+    mapping_spec = MappingSpec(in_channels=in_channels, channels=4, blocks=1)
+    derivative_spec = DerivativeSpec(in_channels=in_channels, channels=4)
     model = Model(mapping_spec, derivative_spec, ComposerConfig(order=0),
                   zero_params(mapping_spec))
     ckpt = make_train_checkpoint(model, AdamState.for_params(model.params),
@@ -389,6 +418,9 @@ def test_eval_corrupt_checkpoint_is_io_error(tmp_path, capsys):
     ("eval", "model.mapping_channels", str(1 << 40).encode()),
     ("eval", "model.kernel_size", str((1 << 40) + 1).encode()),
     ("eval", "model.mapping_blocks", str(10**7).encode()),
+    # resume rebuilds its model from the checkpoint as eval does
+    ("train", "model.kernel_size", b"4"),
+    ("train", "composer.variant", b"\xff\xfe"),
     ("train", "train.step", b"x"),  # read only when resuming
     ("train", "train.epoch", b"-3"),  # would train 7 epochs of a 4-epoch run
     ("train", "train.step", b"-1"),  # would divide by zero in Adam's bias correction
@@ -420,6 +452,14 @@ def test_eval_pair_shape_mismatch_is_io_error(tmp_path, capsys):
                "--data", str(data), "--out", str(tmp_path / "eval")])
     assert rc == 3
     assert "pair shapes differ" in capsys.readouterr().err
+
+
+def test_eval_channel_count_mismatch_is_io_error(tmp_path, capsys):
+    data = synthesize(tmp_path / "data", count=1)
+    rc = main(["eval", "--ckpt", str(identity_checkpoint(tmp_path / "gray.bin", in_channels=1)),
+               "--data", str(data), "--out", str(tmp_path / "eval")])
+    assert rc == 3
+    assert "has 3 channels, the checkpoint's model takes 1" in capsys.readouterr().err
 
 
 # --- gradcheck ----------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Fuzzed checkpoints: truncated, byte-mutated, or carrying arbitrary model
-metadata. Loading one and rebuilding its model may fail only with
-FormatError (exit 3 at the CLI), never with another exception."""
+"""Fuzzed checkpoints: truncated, byte-mutated, with a rewritten tensor
+header, or carrying arbitrary model metadata. Loading one and rebuilding its
+model may fail only with FormatError (exit 3 at the CLI), never with another
+exception."""
+
+import math
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
+from taylor_restore.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from taylor_restore.composer import ComposerConfig
 from taylor_restore.errors import FormatError
 from taylor_restore.networks import DerivativeSpec, MappingSpec
@@ -79,4 +83,43 @@ def test_arbitrary_model_metadata_fails_only_with_format_error(tmp_path, key, va
     checkpoint.metadata[key] = value
     path = tmp_path / "edited.bin"
     save_checkpoint(path, checkpoint)
+    load_and_rebuild(path)
+
+
+def tensor_headers(blob):
+    """(offset of the rank field, offset of the payload) of every tensor in a
+    well-formed checkpoint blob."""
+    def u32(at):
+        return struct.unpack_from("<I", blob, at)[0]
+
+    pos = len(MAGIC) + 4
+    entries = u32(pos)
+    pos += 4
+    for _ in range(2 * entries):  # key, value
+        pos += 4 + u32(pos)
+    count = u32(pos)
+    pos += 4
+    headers = []
+    for _ in range(count):
+        pos += 4 + u32(pos)  # name
+        rank = u32(pos)
+        payload = pos + 4 + 8 * rank
+        headers.append((pos, payload))
+        pos = payload + 8 * math.prod(struct.unpack_from(f"<{rank}Q", blob, pos + 4))
+    assert pos == len(blob)
+    return headers
+
+
+# zero and small extents, and extents that overflow numpy's index type
+EXTENTS = [0, 1, 2, 7, 1 << 32, 1 << 63, (1 << 64) - 1]
+
+
+@FUZZ
+@given(data=st.data())
+def test_rewritten_tensor_header_fails_only_with_format_error(blob, tmp_path, data):
+    rank_at, payload_at = data.draw(st.sampled_from(tensor_headers(blob)))
+    shape = data.draw(st.lists(st.sampled_from(EXTENTS), max_size=4))
+    header = struct.pack(f"<I{len(shape)}Q", len(shape), *shape)
+    path = tmp_path / "reshaped.bin"
+    path.write_bytes(blob[:rank_at] + header + blob[payload_at:])
     load_and_rebuild(path)

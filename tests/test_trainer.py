@@ -8,6 +8,7 @@ import pytest
 
 from conftest import write_rain_corpus
 from taylor_restore.autodiff import Graph, Tensor, backward, l1_loss
+from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.composer import ComposerConfig, compose_orders, framework_loss_terms
 from taylor_restore.errors import ConfigError, DivergenceError, FormatError
 from taylor_restore.networks import (
@@ -23,7 +24,6 @@ from taylor_restore.trainer import (
     STREAM_DATA,
     STREAM_INIT_MAPPING,
     AdamState,
-    Corpus,
     CorpusImage,
     TrainConfig,
     Model,
@@ -144,15 +144,15 @@ def ramp_corpus(count=1, size=8):
         base = np.arange(3 * size * size, dtype=np.float64).reshape(3, size, size)
         base = (base + i) / (3 * size * size + count)
         images.append(CorpusImage(clean=base, degraded=base.copy(), file=f"img{i}"))
-    return Corpus(images=images)
+    return images
 
 
 def test_patch_equal_to_image_returns_whole_image():
     corpus = ramp_corpus(count=1, size=8)
     degraded, clean = sample_patch_batch(corpus, 8, 2, SplitMix64(1))
     assert degraded.shape == (2, 3, 8, 8)
-    assert np.array_equal(degraded.data[0], corpus.images[0].degraded)
-    assert np.array_equal(clean.data[1], corpus.images[0].clean)
+    assert np.array_equal(degraded.data[0], corpus[0].degraded)
+    assert np.array_equal(clean.data[1], corpus[0].clean)
 
 
 def test_patches_are_colocated():
@@ -172,7 +172,7 @@ def test_draw_order_is_index_top_left():
         idx = ref.randint(5)
         top = ref.randint(9 - patch + 1)
         left = ref.randint(9 - patch + 1)
-        expected = corpus.images[idx].degraded[:, top:top + patch, left:left + patch]
+        expected = corpus[idx].degraded[:, top:top + patch, left:left + patch]
         assert np.array_equal(degraded.data[slot], expected)
 
 
@@ -195,8 +195,8 @@ def test_load_corpus_roundtrip(tmp_path):
     corpus_dir = write_rain_corpus(tmp_path / "c", count=3, size=16, seed=4)
     corpus = load_corpus(corpus_dir)
     assert len(corpus) == 3
-    assert corpus.images[0].clean.shape == (3, 16, 16)
-    assert corpus.images[0].file == "degraded_000000.ppm"
+    assert corpus[0].clean.shape == (3, 16, 16)
+    assert corpus[0].file == "degraded_000000.ppm"
 
 
 def test_load_corpus_rejects_mismatched_pair(tmp_path):
@@ -334,6 +334,19 @@ def test_resume_beyond_config_is_rejected(tmp_path):
     with pytest.raises(ConfigError, match="already covers 2 epochs"):
         train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=1),
               tiny_train_cfg(epochs=2), tmp_path / "second", resume_from=final)
+
+
+def test_resume_of_order_zero_checkpoint_with_derivative_params_is_format_error(tmp_path):
+    # an order-0 model with derivative parameters would leave them without gradients
+    corpus_dir = write_rain_corpus(tmp_path / "data", count=4, size=16, seed=13)
+    checkpoint = load_checkpoint(train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE,
+                                       ComposerConfig(order=1), tiny_train_cfg(epochs=2),
+                                       tmp_path / "first"))
+    checkpoint.metadata["composer.order"] = "0"
+    save_checkpoint(tmp_path / "edited.bin", checkpoint)
+    with pytest.raises(FormatError, match="order 0 but derivative parameters"):
+        train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=0),
+              tiny_train_cfg(epochs=4), tmp_path / "second", resume_from=tmp_path / "edited.bin")
 
 
 def test_zero_weighted_series_trains_like_plain_mapping(tmp_path):
