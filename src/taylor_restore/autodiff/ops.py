@@ -139,13 +139,35 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return out
 
 
+# OpenBLAS (measured with 1 against 2 threads) splits a GEMM whose column count is not a multiple
+# of 8, or whose inner axis is long, differently per thread count, and so rounds differently.
+# conv2d's column counts are multiples of ALIGN, and its dW GEMMs sum fixed DW_BLOCK-column
+# blocks in order, so its bytes do not depend on the thread count.
+ALIGN = 64
+DW_BLOCK = 4096
+
+
+def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T, summed over DW_BLOCK-column blocks of their shared axis in a fixed order."""
+    out = np.matmul(a[:, :DW_BLOCK], b[:, :DW_BLOCK].T)
+    for start in range(DW_BLOCK, a.shape[1], DW_BLOCK):
+        out += np.matmul(a[:, start:start + DW_BLOCK], b[:, start:start + DW_BLOCK].T)
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
     """Batched 2-D cross-correlation; see the module docstring for the formula.
 
     Each tap (di, dj) is one column slice of the zero-padded channel-major (Cin, N*Hp*Wp) grid,
     whose column (b*Hp + i)*Wp + j is pixel (b, i, j): output column r reads input column
-    r + di*Wp + dj. (Cout, Cin) weight blocks times those slices sum over the whole padded grid;
-    wrapped columns are dropped and stride > 1 keeps every stride-th. dW and dX use the same slices.
+    r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every stride-th.
+
+    The GEMM layout follows the weight shape. When one side has at most half the channels of the
+    other, the kh*kw taps are stacked on that thin side, so each GEMM passes over the wide side
+    once: a thin input is stacked as kh*kw shifted slices under one (Cout, kh*kw*Cin) GEMM; a
+    thin output is one (kh*kw*Cout, Cin) GEMM over the grid whose row blocks are summed shifted,
+    and its backward stacks kh*kw shifted copies of the upstream gradient. Otherwise each tap is
+    one (Cout, Cin) GEMM on its slice, summed. dW and dX use the same slices.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N, C, H, W), got shape {x.shape}")
@@ -171,24 +193,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
-    padded = np.zeros((cin, n, hp, wp))
-    padded[:, :, pad:pad + h, pad:pad + w] = x.data.transpose(1, 0, 2, 3)
-    cols = padded.reshape(cin, -1)
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    # The last output pixel's last tap reads the last column, so no output lies past span and
-    # acc leaves those columns unwritten.
-    span = cols.shape[1] - offsets[-1]
+    # The last output pixel's last tap reads the last pixel column, so no output lies at or past
+    # n*hp*wp - offsets[-1]. That span and the grid are rounded up to ALIGN with zero columns;
+    # the output columns past span are left unwritten.
+    span = -(-(n * hp * wp - offsets[-1]) // ALIGN) * ALIGN
+    cols = np.zeros((cin, -(-(span + offsets[-1]) // ALIGN) * ALIGN))
     taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+    thin_in, thin_out = 2 * cin <= cout, 2 * cout <= cin
+
+    def pixels(grid: np.ndarray) -> np.ndarray:
+        """The (C, N, Hp, Wp) pixels of a (C, ·) column grid, as a view."""
+        return grid[:, :n * hp * wp].reshape(-1, n, hp, wp)
 
     def valid(grid: np.ndarray) -> np.ndarray:
-        """The (C, N, h_out, w_out) output pixels of a (C, N*Hp*Wp) column grid."""
-        return grid.reshape(-1, n, hp, wp)[:, :, :stride * h_out:stride, :stride * w_out:stride]
+        """The (C, N, h_out, w_out) output pixels of a column grid."""
+        return pixels(grid)[:, :, :stride * h_out:stride, :stride * w_out:stride]
 
-    acc, prod = np.empty((cout, cols.shape[1])), np.empty((cout, span))
-    np.matmul(taps[0], cols[:, :span], out=acc[:, :span])
-    for offset, tap in zip(offsets[1:], taps[1:]):
-        acc[:, :span] += np.matmul(tap, cols[:, offset:offset + span], out=prod)
-    acc[:, :span] += bias.data[:, None]
+    def stacked(grid: np.ndarray) -> np.ndarray:
+        """The kh*kw tap slices of a (C, ·) grid, stacked tap-major: (kh*kw*C, span)."""
+        return np.concatenate([grid[:, offset:offset + span] for offset in offsets])
+
+    pixels(cols)[:, :, pad:pad + h, pad:pad + w] = x.data.transpose(1, 0, 2, 3)
+    acc = np.empty((cout, cols.shape[1]))
+    acc_span = acc[:, :span]
+    if thin_in:
+        w_in = taps.transpose(1, 0, 2).reshape(cout, -1)
+        np.matmul(w_in, stacked(cols), out=acc_span)
+    elif thin_out:
+        products = np.matmul(taps.reshape(-1, cin), cols).reshape(kh * kw, cout, -1)
+        acc_span[...] = products[0, :, :span]
+        for t, offset in enumerate(offsets[1:], start=1):
+            acc_span += products[t, :, offset:offset + span]
+    else:
+        np.matmul(taps[0], cols[:, :span], out=acc_span)
+        prod = np.empty((cout, span))
+        for offset, tap in zip(offsets[1:], taps[1:]):
+            acc_span += np.matmul(tap, cols[:, offset:offset + span], out=prod)
+    acc_span += bias.data[:, None]
     out = Tensor(valid(acc).transpose(1, 0, 2, 3))
 
     graph = active_graph()
@@ -197,17 +239,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
             g_cols = np.zeros((cout, cols.shape[1]))
             valid(g_cols)[...] = g.transpose(1, 0, 2, 3)
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            d_taps = np.empty_like(taps)
-            d_cols, d_prod = np.empty_like(cols), np.empty((cin, span))
-            d_cols[:, span:] = 0.0
             g_span = g_cols[:, :span]
-            for t, offset in enumerate(offsets):
-                np.matmul(g_span, cols[:, offset:offset + span].T, out=d_taps[t])
-            np.matmul(taps[0].T, g_span, out=d_cols[:, :span])
-            for offset, tap in zip(offsets[1:], taps[1:]):
-                d_cols[:, offset:offset + span] += np.matmul(tap.T, g_span, out=d_prod)
+            d_cols = np.empty_like(cols)
+            if thin_out:
+                g_stack = np.zeros((kh * kw, cout, cols.shape[1]))
+                for t, offset in enumerate(offsets):
+                    g_stack[t, :, offset:offset + span] = g_span
+                g_stack = g_stack.reshape(-1, cols.shape[1])
+                d_taps = _matmul_nt(g_stack, cols)
+                np.matmul(taps.reshape(-1, cin).T, g_stack, out=d_cols)
+            elif thin_in:
+                d_taps = _matmul_nt(g_span, stacked(cols)).reshape(cout, kh * kw, cin)
+                d_taps = d_taps.transpose(1, 0, 2)
+                d_stack = np.matmul(w_in.T, g_span).reshape(kh * kw, cin, span)
+                d_cols[:, :span] = d_stack[0]
+                d_cols[:, span:] = 0.0
+                for t, offset in enumerate(offsets[1:], start=1):
+                    d_cols[:, offset:offset + span] += d_stack[t]
+            else:
+                d_taps = np.stack([_matmul_nt(g_span, cols[:, offset:offset + span])
+                                   for offset in offsets])
+                np.matmul(taps[0].T, g_span, out=d_cols[:, :span])
+                d_cols[:, span:] = 0.0
+                d_prod = np.empty((cin, span))
+                for offset, tap in zip(offsets[1:], taps[1:]):
+                    d_cols[:, offset:offset + span] += np.matmul(tap.T, g_span, out=d_prod)
             weight.accumulate_grad(d_taps.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
-            d_x = d_cols.reshape(cin, n, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+            d_x = pixels(d_cols)[:, :, pad:pad + h, pad:pad + w]
             x.accumulate_grad(d_x.transpose(1, 0, 2, 3))
         graph.record("conv2d", out, backward_fn)
     return out

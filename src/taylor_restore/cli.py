@@ -122,6 +122,8 @@ def _load_config(args: argparse.Namespace) -> dict[str, object]:
             text = args.config.read_text(encoding="utf-8")
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {args.config} ({exc})") from exc
         file_values = parse_config_text(text, origin=str(args.config))
     overrides = list(args.overrides)
     if args.seed is not None:
@@ -245,7 +247,8 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
     orders = args.orders
     if not orders:
         raise ConfigError("sweep-order needs at least one order")
-    jobs = max(1, args.jobs)
+    # a process pool starts all of its workers at the first submit, so never more than orders
+    jobs = max(1, min(args.jobs, len(orders)))
     write_echo(cfg, out_dir)
 
     results: dict[int, tuple[float, float]] = {}

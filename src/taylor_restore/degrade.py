@@ -340,6 +340,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         text = path.read_text(encoding="ascii")
     except FileNotFoundError as exc:
         raise FormatError(f"{path}: manifest not found") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not ASCII ({exc})") from exc
     lines = [line for line in text.splitlines() if line]
     if not lines:
         raise FormatError(f"{path}: empty manifest")

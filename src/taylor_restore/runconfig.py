@@ -9,7 +9,7 @@ Precedence, lowest to highest: built-in defaults, config file, ``--set``
 overrides in command-line order, dedicated CLI flags (e.g. ``--seed``,
 ``--kind``). Every CLI flag overrides its config key. The fully resolved
 configuration is echoed to ``config.echo`` in the output directory as
-sorted ``key = value`` lines.
+sorted ``key = value`` lines, in UTF-8 like the config file.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def echo_text(cfg: dict[str, object]) -> str:
 def write_echo(cfg: dict[str, object], out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.echo").write_text(echo_text(cfg), encoding="ascii")
+    (out_dir / "config.echo").write_text(echo_text(cfg), encoding="utf-8")
 
 
 def _wrap(build: Callable[[], object], what: str):

@@ -47,13 +47,19 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
     rng = SplitMix64(seed)
     results: list[tuple[str, float]] = []
 
-    x = _rand(rng, (2, 3, 6, 5))
-    w = _rand(rng, (4, 3, 3, 3))
-    b = _rand(rng, (4,))
-    def f_conv() -> Tensor:
-        out = conv2d(x, w, b, pad=1, stride=2)
-        return mean_all(mul(out, out))
-    results.append(("conv2d", check_gradients(f_conv, [x, w, b])))
+    # one weight shape per conv2d GEMM layout: per-tap, thin input, thin output; the thin ones
+    # are the narrowest that reach their layout, so that few gradients lie near zero, where a
+    # relative error is all rounding
+    conv_errors = []
+    for cin, cout in ((3, 4), (1, 2), (2, 1)):
+        x = _rand(rng, (2, cin, 6, 5))
+        w = _rand(rng, (cout, cin, 3, 3))
+        b = _rand(rng, (cout,))
+        def f_conv() -> Tensor:
+            out = conv2d(x, w, b, pad=1, stride=2)
+            return mean_all(mul(out, out))
+        conv_errors.append(check_gradients(f_conv, [x, w, b]))
+    results.append(("conv2d", max(conv_errors)))
 
     r = _rand(rng, (3, 4, 5))
     def f_relu() -> Tensor:

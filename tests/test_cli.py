@@ -1,6 +1,7 @@
 """The command-line interface end to end: every subcommand, the documented
 exit codes, config precedence from flags, and byte-stable reruns."""
 
+import concurrent.futures
 import importlib
 import os
 import shutil
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import taylor_restore
-from taylor_restore import trainer
+from taylor_restore import cli, trainer
 from taylor_restore.autodiff import Tensor
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.cli import main
@@ -181,6 +182,42 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"data.count = 3\n# caf\xe9 (Latin-1)\n")
+    rc = main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "config file is not UTF-8" in capsys.readouterr().err
+
+
+def test_non_ascii_paths_are_echoed_in_utf8(tmp_path, capsys):
+    """A corpus and a run directory whose names are not ASCII train and evaluate;
+    each config.echo holds the paths in UTF-8."""
+    data = synthesize(tmp_path / "corpus_é")
+    run = tmp_path / "run_é"
+    assert main(train_args(data, run)) == 0
+    assert f"paths.data = {data}\n" in (run / "config.echo").read_text(encoding="utf-8")
+    ckpt = run / "ckpt_epoch0002.bin"
+    out = tmp_path / "eval_é"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    echo = (out / "config.echo").read_text(encoding="utf-8")
+    assert f"paths.data = {data}\n" in echo and f"paths.ckpt = {ckpt}\n" in echo
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_not_ascii_is_io_error(tmp_path, capsys, command):
+    data = synthesize(tmp_path / "data")
+    manifest = data / "manifest.tsv"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\train\t", b"\tr\xffin\t", 1))
+    if command == "train":
+        argv = train_args(data, tmp_path / "run")
+    else:
+        argv = ["eval", "--ckpt", str(identity_checkpoint(tmp_path / "identity.bin")),
+                "--data", str(data), "--out", str(tmp_path / "eval")]
+    assert main(argv) == 3
+    assert "manifest is not ASCII" in capsys.readouterr().err
+
+
 # --- train ------------------------------------------------------------------------------
 
 def test_train_writes_outputs(tmp_path, capsys):
@@ -232,6 +269,24 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
             capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         written[threads] = (out / "metrics.tsv").read_bytes()
+    assert written["1"] == written["2"]
+
+
+def test_paper_default_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """One paper-default step (batch 4 of 100 px patches, width 32, three blocks,
+    order 3) writes the same loss log and checkpoint with one BLAS thread as
+    with two: its GEMMs are wide enough for BLAS to split them across threads."""
+    data = synthesize(tmp_path / "data", count=4, size=128)
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "taylor_restore", "train", "--data", str(data),
+             "--out", str(out), "--seed", "3", "--set", "train.epochs=1"],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = [(out / name).read_bytes()
+                            for name in ("loss.tsv", "ckpt_epoch0001.bin")]
     assert written["1"] == written["2"]
 
 
@@ -530,3 +585,35 @@ def test_sweep_marks_failed_orders(tmp_path, capsys):
     assert lines[2] == "9\tFAILED\tFAILED"
     captured = capsys.readouterr()
     assert "order 9 FAILED" in captured.err
+
+
+@pytest.mark.parametrize("orders, jobs, pools, rows", [("0..1", 64, [2], 2), ("2", 8, [], 1)])
+def test_sweep_pool_never_exceeds_the_order_count(tmp_path, monkeypatch, orders, jobs, pools,
+                                                  rows):
+    """--jobs N starts at most one worker per order; a single order runs in-process."""
+    created = []
+
+    class InlineExecutor:
+        """Records max_workers and runs each submitted call at once, in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    data = synthesize(tmp_path / "data", count=4, size=24, seed=8)
+    out = tmp_path / "sweep"
+    assert main(["sweep-order", orders, "--data", str(data), "--out", str(out),
+                 "--jobs", str(jobs), "--seed", "3", *sweep_sets()]) == 0
+    assert created == pools
+    assert len((out / "sweep.tsv").read_text().splitlines()) == 1 + rows

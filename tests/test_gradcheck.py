@@ -4,6 +4,7 @@ gradients, and coverage of the built-in per-op check suite."""
 import numpy as np
 
 from conftest import rand_tensor
+from taylor_restore import verification
 from taylor_restore.autodiff import Tensor, check_gradients, mean_all, mul, sum_all
 from taylor_restore.verification import per_op_gradchecks
 
@@ -54,3 +55,19 @@ def test_builtin_suite_covers_every_op():
     assert names == EXPECTED_OPS
     for name, err in results:
         assert err < 1e-6, f"{name} gradient error {err}"
+
+
+def test_conv2d_check_reaches_every_layout(monkeypatch):
+    """The one conv2d entry checks a weight shape for each GEMM layout conv2d picks."""
+    channels = []
+    real_conv2d = verification.conv2d
+
+    def recording_conv2d(x, weight, bias, **kwargs):
+        channels.append(weight.shape[:2])
+        return real_conv2d(x, weight, bias, **kwargs)
+
+    monkeypatch.setattr(verification, "conv2d", recording_conv2d)
+    per_op_gradchecks(seed=2024)
+    layouts = {"thin input" if 2 * cin <= cout else "thin output" if 2 * cout <= cin else "per tap"
+               for cout, cin in channels}
+    assert layouts == {"per tap", "thin input", "thin output"}

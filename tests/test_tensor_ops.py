@@ -73,6 +73,14 @@ FORWARD_CASES = [
     dict(x=(2, 3, 6, 5), w=(4, 3, 3, 3), pad=1, stride=2),
     dict(x=(1, 2, 4, 7), w=(3, 2, 1, 1), pad=0, stride=1),
     dict(x=(1, 2, 5, 6), w=(2, 2, 1, 3), pad=2, stride=3),
+    # thin input (2*Cin <= Cout): the taps are stacked under one GEMM
+    dict(x=(2, 3, 7, 6), w=(6, 3, 3, 3), pad=1, stride=1),
+    dict(x=(1, 2, 6, 7), w=(5, 2, 5, 5), pad=3, stride=2),
+    dict(x=(2, 3, 5, 4), w=(8, 3, 1, 1), pad=0, stride=1),
+    # thin output (2*Cout <= Cin): one GEMM over the grid, its row blocks summed shifted
+    dict(x=(2, 8, 6, 5), w=(3, 8, 3, 3), pad=1, stride=2),
+    dict(x=(1, 6, 7, 7), w=(2, 6, 5, 5), pad=2, stride=1),
+    dict(x=(2, 4, 4, 5), w=(2, 4, 1, 1), pad=1, stride=1),
 ]
 
 
@@ -94,6 +102,24 @@ BACKWARD_CASES = [
     dict(x=(2, 2, 7, 6), w=(3, 2, 5, 5), pad=2, stride=1),
     dict(x=(2, 3, 7, 6), w=(2, 3, 3, 3), pad=1, stride=2),
     dict(x=(2, 2, 4, 5), w=(3, 2, 3, 3), pad=3, stride=1),  # pad wider than k // 2
+    # thin input, in the model's shapes (3 -> 8, 6 -> 16) and beyond
+    dict(x=(2, 3, 5, 7), w=(8, 3, 3, 3), pad=1, stride=1),
+    dict(x=(2, 6, 6, 5), w=(16, 6, 3, 3), pad=1, stride=1),
+    dict(x=(2, 3, 7, 6), w=(6, 3, 3, 3), pad=1, stride=2),
+    dict(x=(2, 2, 4, 5), w=(4, 2, 3, 3), pad=3, stride=1),
+    dict(x=(2, 2, 7, 6), w=(5, 2, 5, 5), pad=2, stride=1),
+    dict(x=(2, 3, 5, 7), w=(7, 3, 1, 1), pad=0, stride=1),
+    # thin output, in the model's shapes (8 -> 3, 16 -> 3) and beyond
+    dict(x=(2, 8, 5, 7), w=(3, 8, 3, 3), pad=1, stride=1),
+    dict(x=(2, 16, 6, 5), w=(3, 16, 3, 3), pad=1, stride=1),
+    dict(x=(2, 6, 7, 6), w=(3, 6, 3, 3), pad=1, stride=2),
+    dict(x=(2, 4, 4, 5), w=(2, 4, 3, 3), pad=3, stride=1),
+    dict(x=(2, 5, 7, 6), w=(2, 5, 5, 5), pad=2, stride=1),
+    dict(x=(2, 7, 5, 7), w=(3, 7, 1, 1), pad=0, stride=1),
+    # grids of 5,208 columns, longer than one dW block, in each layout
+    dict(x=(2, 2, 40, 60), w=(3, 2, 3, 3), pad=1, stride=1),
+    dict(x=(2, 1, 40, 60), w=(2, 1, 3, 3), pad=1, stride=1),
+    dict(x=(2, 2, 40, 60), w=(1, 2, 3, 3), pad=1, stride=1),
 ]
 
 
