@@ -155,19 +155,52 @@ def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stack(grid: np.ndarray, offsets: list[int], width: int) -> np.ndarray:
+    """The slices grid[:, offset:offset + width], stacked tap-major: (len(offsets)*C, width)."""
+    return np.concatenate([grid[:, offset:offset + width] for offset in offsets])
+
+
+def _correlate(taps: np.ndarray, grid: np.ndarray, offsets: list[int],
+               out: np.ndarray) -> np.ndarray | None:
+    """out[:, r] = sum_t taps[t] @ grid[:, r + offsets[t]] for every column r of out.
+
+    taps is (T, Co, Ci) and grid (Ci, ·), at least out's width plus the largest offset. The
+    GEMM layout follows the tap shape. When one side has at most half the channels of the
+    other, the taps are stacked on that thin side, so each GEMM passes over the wide side once:
+    a thin input is one (Co, T*Ci) GEMM on the stacked shifted slices of the grid, and that
+    stack is returned for reuse; a thin output is one (T*Co, Ci) GEMM over the whole grid whose
+    row blocks are summed shifted. Otherwise each tap is one (Co, Ci) GEMM on its slice, summed.
+    """
+    n_taps, c_out, c_in = taps.shape
+    width = out.shape[1]
+    if 2 * c_in <= c_out:
+        stack = _stack(grid, offsets, width)
+        np.matmul(taps.transpose(1, 0, 2).reshape(c_out, -1), stack, out=out)
+        return stack
+    if 2 * c_out <= c_in:
+        products = np.matmul(taps.reshape(-1, c_in), grid).reshape(n_taps, c_out, -1)
+        out[...] = products[0, :, offsets[0]:offsets[0] + width]
+        for t in range(1, n_taps):
+            out += products[t, :, offsets[t]:offsets[t] + width]
+        return None
+    np.matmul(taps[0], grid[:, offsets[0]:offsets[0] + width], out=out)
+    prod = np.empty_like(out)
+    for tap, offset in zip(taps[1:], offsets[1:]):
+        out += np.matmul(tap, grid[:, offset:offset + width], out=prod)
+    return None
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
     """Batched 2-D cross-correlation; see the module docstring for the formula.
 
     Each tap (di, dj) is one column slice of the zero-padded channel-major (Cin, N*Hp*Wp) grid,
     whose column (b*Hp + i)*Wp + j is pixel (b, i, j): output column r reads input column
-    r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every stride-th.
-
-    The GEMM layout follows the weight shape. When one side has at most half the channels of the
-    other, the kh*kw taps are stacked on that thin side, so each GEMM passes over the wide side
-    once: a thin input is stacked as kh*kw shifted slices under one (Cout, kh*kw*Cin) GEMM; a
-    thin output is one (kh*kw*Cout, Cin) GEMM over the grid whose row blocks are summed shifted,
-    and its backward stacks kh*kw shifted copies of the upstream gradient. Otherwise each tap is
-    one (Cout, Cin) GEMM on its slice, summed. dW and dX use the same slices.
+    r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every stride-th. The
+    forward is `_correlate` of the taps over that grid. dX is `_correlate` of the transposed
+    taps over the upstream gradient shifted right by the last offset, with each offset
+    mirrored: input column q gathers output column q - offset, read at q + (last - offset).
+    dW stacks the thin side as the forward does, reusing dX's stack of the upstream gradient
+    for a thin output.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N, C, H, W), got shape {x.shape}")
@@ -194,11 +227,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
     offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    # The last output pixel's last tap reads the last pixel column, so no output lies at or past
-    # n*hp*wp - offsets[-1]. That span and the grid are rounded up to ALIGN with zero columns;
-    # the output columns past span are left unwritten.
-    span = -(-(n * hp * wp - offsets[-1]) // ALIGN) * ALIGN
-    cols = np.zeros((cin, -(-(span + offsets[-1]) // ALIGN) * ALIGN))
+    last = offsets[-1]
+    # Both correlations write span columns, every pixel column rounded up to ALIGN, from a grid
+    # of last more columns, rounded up, so that every tap's slice lies inside it. Grid columns
+    # that hold no pixel are zero.
+    span = -(-(n * hp * wp) // ALIGN) * ALIGN
+    cols = np.zeros((cin, -(-(span + last) // ALIGN) * ALIGN))
     taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
     thin_in, thin_out = 2 * cin <= cout, 2 * cout <= cin
 
@@ -210,60 +244,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
         """The (C, N, h_out, w_out) output pixels of a column grid."""
         return pixels(grid)[:, :, :stride * h_out:stride, :stride * w_out:stride]
 
-    def stacked(grid: np.ndarray) -> np.ndarray:
-        """The kh*kw tap slices of a (C, ·) grid, stacked tap-major: (kh*kw*C, span)."""
-        return np.concatenate([grid[:, offset:offset + span] for offset in offsets])
-
     pixels(cols)[:, :, pad:pad + h, pad:pad + w] = x.data.transpose(1, 0, 2, 3)
+    # acc and d_cols are as wide as the grids, so that every (C, ·) buffer of a conv has one size
+    # and the allocator reuses its blocks instead of mapping fresh pages each step
     acc = np.empty((cout, cols.shape[1]))
-    acc_span = acc[:, :span]
-    if thin_in:
-        w_in = taps.transpose(1, 0, 2).reshape(cout, -1)
-        np.matmul(w_in, stacked(cols), out=acc_span)
-    elif thin_out:
-        products = np.matmul(taps.reshape(-1, cin), cols).reshape(kh * kw, cout, -1)
-        acc_span[...] = products[0, :, :span]
-        for t, offset in enumerate(offsets[1:], start=1):
-            acc_span += products[t, :, offset:offset + span]
-    else:
-        np.matmul(taps[0], cols[:, :span], out=acc_span)
-        prod = np.empty((cout, span))
-        for offset, tap in zip(offsets[1:], taps[1:]):
-            acc_span += np.matmul(tap, cols[:, offset:offset + span], out=prod)
-    acc_span += bias.data[:, None]
+    _correlate(taps, cols, offsets, acc[:, :span])
+    acc[:, :span] += bias.data[:, None]
     out = Tensor(valid(acc).transpose(1, 0, 2, 3))
 
     graph = active_graph()
     if graph is not None:
         def backward_fn(g: np.ndarray) -> None:
-            g_cols = np.zeros((cout, cols.shape[1]))
-            valid(g_cols)[...] = g.transpose(1, 0, 2, 3)
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            g_span = g_cols[:, :span]
-            d_cols = np.empty_like(cols)
-            if thin_out:
-                g_stack = np.zeros((kh * kw, cout, cols.shape[1]))
-                for t, offset in enumerate(offsets):
-                    g_stack[t, :, offset:offset + span] = g_span
-                g_stack = g_stack.reshape(-1, cols.shape[1])
-                d_taps = _matmul_nt(g_stack, cols)
-                np.matmul(taps.reshape(-1, cin).T, g_stack, out=d_cols)
-            elif thin_in:
-                d_taps = _matmul_nt(g_span, stacked(cols)).reshape(cout, kh * kw, cin)
-                d_taps = d_taps.transpose(1, 0, 2)
-                d_stack = np.matmul(w_in.T, g_span).reshape(kh * kw, cin, span)
-                d_cols[:, :span] = d_stack[0]
-                d_cols[:, span:] = 0.0
-                for t, offset in enumerate(offsets[1:], start=1):
-                    d_cols[:, offset:offset + span] += d_stack[t]
-            else:
+            # output column r sits at g_grid column last + r; every other column is zero
+            g_grid = np.zeros((cout, cols.shape[1]))
+            valid(g_grid[:, last:])[...] = g.transpose(1, 0, 2, 3)
+            g_span = g_grid[:, last:last + span]
+            # dW stacks the thin side; a thin output's stack is dX's, so dW follows dX there
+            if thin_in:
+                d_taps = _matmul_nt(g_span, _stack(cols, offsets, span))
+                d_taps = d_taps.reshape(cout, -1, cin).transpose(1, 0, 2)
+            elif not thin_out:
                 d_taps = np.stack([_matmul_nt(g_span, cols[:, offset:offset + span])
                                    for offset in offsets])
-                np.matmul(taps[0].T, g_span, out=d_cols[:, :span])
-                d_cols[:, span:] = 0.0
-                d_prod = np.empty((cin, span))
-                for offset, tap in zip(offsets[1:], taps[1:]):
-                    d_cols[:, offset:offset + span] += np.matmul(tap.T, g_span, out=d_prod)
+            d_cols = np.empty_like(cols)
+            g_stack = _correlate(taps.transpose(0, 2, 1), g_grid,
+                                 [last - offset for offset in offsets], d_cols[:, :span])
+            if thin_out:
+                # block t of the stack is the upstream gradient shifted right by offsets[t]
+                d_taps = _matmul_nt(g_stack, cols[:, :span])
+            del g_grid, g_span, g_stack  # x's gradient below reuses their blocks
             weight.accumulate_grad(d_taps.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
             d_x = pixels(d_cols)[:, :, pad:pad + h, pad:pad + w]
             x.accumulate_grad(d_x.transpose(1, 0, 2, 3))

@@ -155,6 +155,12 @@ def _require_path(cfg: dict[str, object], key: str, flag: str) -> Path:
     return Path(value)
 
 
+def _shown(path: Path) -> str:
+    """A path as text that any UTF-8 stream takes: a byte that is not UTF-8 (a surrogate escape)
+    prints as its escape, e.g. \\udcff."""
+    return str(path).encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = _require_out(args)
@@ -171,7 +177,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         for index in range(count)
     ]
     make_corpus(cleans, spec, count, out_dir)
-    print(f"synthesized {count} samples (kind={spec.kind}, seed={spec.seed}) -> {out_dir}")
+    print(f"synthesized {count} samples (kind={spec.kind}, seed={spec.seed}) -> {_shown(out_dir)}")
     return EXIT_OK
 
 
@@ -190,7 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         out_dir,
         resume_from=resume,
     )
-    print(f"trained {cfg['train.epochs']} epochs -> {final}")
+    print(f"trained {cfg['train.epochs']} epochs -> {_shown(final)}")
     return EXIT_OK
 
 

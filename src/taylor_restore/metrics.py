@@ -24,11 +24,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import ppm  # read_ppm through the module: perfbench/tracing.py wraps ppm.read_ppm
 from .autodiff import ShapeError, Tensor
 from .degrade import read_manifest
 from .errors import FormatError
-from .trainer import Model
+from .trainer import Model, read_pair  # reads through trainer.read_ppm, which perfbench wraps
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -145,13 +144,7 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     report = MetricReport()
     psnr_sum, ssim_sum = 0.0, 0.0
     for entry in entries:
-        clean = ppm.read_ppm(corpus_dir / entry.clean_file)
-        degraded = ppm.read_ppm(corpus_dir / entry.degraded_file)
-        if clean.shape != degraded.shape:
-            raise FormatError(
-                f"{entry.clean_file}/{entry.degraded_file}: pair shapes differ "
-                f"({clean.shape} vs {degraded.shape})"
-            )
+        clean, degraded = read_pair(corpus_dir, entry)
         if clean.shape[0] != model.mapping.in_channels:
             raise FormatError(
                 f"{entry.degraded_file} has {clean.shape[0]} channels, the checkpoint's "

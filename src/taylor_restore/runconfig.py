@@ -40,7 +40,10 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def _parse_str(text: str) -> str:
+def _parse_path(text: str) -> str:
+    # config.echo is UTF-8; a file name that is not arrives with surrogate escapes and raises
+    # UnicodeEncodeError, a ValueError, here rather than after files are written
+    text.encode("utf-8")
     return text
 
 
@@ -116,9 +119,9 @@ SCHEMA: dict[str, _Field] = {
     "train.seed": _Field(_parse_u64, 0, "run seed (init and sampling streams derive from it)"),
     "train.checkpoint_every": _Field(_parse_int, 10, "checkpoint cadence in epochs (0: final only)"),
     # paths
-    "paths.data": _Field(_parse_str, "", "corpus directory (train/eval/sweep input)"),
-    "paths.ckpt": _Field(_parse_str, "", "checkpoint file (eval input)"),
-    "paths.resume": _Field(_parse_str, "", "checkpoint to resume training from"),
+    "paths.data": _Field(_parse_path, "", "corpus directory (train/eval/sweep input)"),
+    "paths.ckpt": _Field(_parse_path, "", "checkpoint file (eval input)"),
+    "paths.resume": _Field(_parse_path, "", "checkpoint to resume training from"),
 }
 
 

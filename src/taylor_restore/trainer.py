@@ -39,7 +39,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .composer import ComposerConfig, ComposerTrace, compose_orders, framework_loss_terms
-from .degrade import read_manifest
+from .degrade import ManifestEntry, read_manifest
 from .errors import ConfigError, DivergenceError, FormatError
 from .networks import (
     DerivativeSpec,
@@ -146,6 +146,18 @@ class CorpusImage:
     file: str
 
 
+def read_pair(corpus_dir: Path, entry: ManifestEntry) -> tuple[Tensor, Tensor]:
+    """The (clean, degraded) images of one manifest entry, which must have one shape."""
+    clean = read_ppm(corpus_dir / entry.clean_file)
+    degraded = read_ppm(corpus_dir / entry.degraded_file)
+    if clean.shape != degraded.shape:
+        raise FormatError(
+            f"{entry.clean_file}/{entry.degraded_file}: pair shapes differ "
+            f"({clean.shape} vs {degraded.shape})"
+        )
+    return clean, degraded
+
+
 def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir / "manifest.tsv")
@@ -153,13 +165,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
         raise FormatError(f"{corpus_dir}: manifest lists no samples")
     images = []
     for entry in entries:
-        clean = read_ppm(corpus_dir / entry.clean_file)
-        degraded = read_ppm(corpus_dir / entry.degraded_file)
-        if clean.shape != degraded.shape:
-            raise FormatError(
-                f"{entry.clean_file}/{entry.degraded_file}: pair shapes differ "
-                f"({clean.shape} vs {degraded.shape})"
-            )
+        clean, degraded = read_pair(corpus_dir, entry)
         images.append(CorpusImage(clean=clean.data, degraded=degraded.data,
                                   file=entry.degraded_file))
     return images

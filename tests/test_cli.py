@@ -204,6 +204,43 @@ def test_non_ascii_paths_are_echoed_in_utf8(tmp_path, capsys):
     assert f"paths.data = {data}\n" in echo and f"paths.ckpt = {ckpt}\n" in echo
 
 
+# how Python hands over a file name holding the byte 0xff, which is not UTF-8
+NOT_UTF8 = "corpus_\udcff"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep-order"])
+def test_data_path_not_utf8_is_config_error(tmp_path, capsys, command):
+    """config.echo is UTF-8, so a corpus name that is not is refused before any file is written."""
+    data = synthesize(tmp_path / "data").rename(tmp_path / NOT_UTF8)
+    out = tmp_path / "out"
+    argv = {
+        "train": train_args(data, out),
+        "eval": ["eval", "--ckpt", str(identity_checkpoint(tmp_path / "identity.bin")),
+                 "--data", str(data), "--out", str(out)],
+        "sweep-order": ["sweep-order", "0", "--data", str(data), "--out", str(out),
+                        *sweep_sets()],
+    }[command]
+    assert main(argv) == 2
+    assert "bad value for paths.data" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synthesize_into_directory_not_utf8_prints_escaped_name(tmp_path, capsys):
+    out = tmp_path / NOT_UTF8
+    assert main(["synthesize", "--out", str(out), "--count", "1",
+                 "--set", "data.image_size=16"]) == 0
+    assert (out / "manifest.tsv").exists()
+    assert capsys.readouterr().out.endswith("corpus_\\udcff\n")
+
+
+def test_train_into_directory_not_utf8_prints_escaped_name(tmp_path, capsys):
+    data = synthesize(tmp_path / "data")
+    run = tmp_path / f"run_{NOT_UTF8}"
+    assert main(train_args(data, run)) == 0
+    assert (run / "ckpt_epoch0002.bin").exists()
+    assert capsys.readouterr().out.endswith("corpus_\\udcff/ckpt_epoch0002.bin\n")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_manifest_not_ascii_is_io_error(tmp_path, capsys, command):
     data = synthesize(tmp_path / "data")
@@ -528,6 +565,14 @@ def test_gradcheck_command_passes(tmp_path, capsys):
     assert "composed order-3 with_k_residual" in out
     assert "composed order-3 concat_only" in out
     assert (tmp_path / "gc" / "config.echo").exists()
+
+
+@pytest.mark.parametrize("seed", ["1", "20", "21"])
+def test_gradcheck_passes_where_a_conv_gradient_is_near_zero(capsys, seed):
+    """At these seeds the conv check meets gradient entries near zero, where the rounding of a
+    narrow central difference alone exceeded the per-op threshold."""
+    assert main(["gradcheck", "--seed", seed]) == 0
+    assert "gradcheck PASS" in capsys.readouterr().out
 
 
 # --- sweep-order --------------------------------------------------------------------------

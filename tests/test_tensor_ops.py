@@ -120,6 +120,13 @@ BACKWARD_CASES = [
     dict(x=(2, 2, 40, 60), w=(3, 2, 3, 3), pad=1, stride=1),
     dict(x=(2, 1, 40, 60), w=(2, 1, 3, 3), pad=1, stride=1),
     dict(x=(2, 2, 40, 60), w=(1, 2, 3, 3), pad=1, stride=1),
+    # kh != kw, so the mirrored offsets of dX differ between rows and columns; each layout
+    dict(x=(2, 2, 5, 7), w=(3, 2, 1, 3), pad=1, stride=2),
+    dict(x=(2, 4, 5, 6), w=(4, 4, 3, 1), pad=0, stride=2),
+    dict(x=(2, 3, 6, 5), w=(8, 3, 3, 1), pad=1, stride=1),
+    dict(x=(2, 2, 6, 7), w=(6, 2, 1, 5), pad=0, stride=1),
+    dict(x=(2, 8, 6, 7), w=(3, 8, 1, 5), pad=2, stride=3),
+    dict(x=(2, 6, 7, 5), w=(2, 6, 5, 3), pad=1, stride=1),
 ]
 
 
