@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import ShapeError, Tensor
 from .degrade import read_manifest
@@ -33,6 +32,12 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+# OpenBLAS (measured with 1 against 2 threads) rounds a GEMM differently per thread count when
+# its column count is not a multiple of 8 or its inner axis is long. SSIM's banded GEMMs write
+# multiples of BAND_ALIGN columns and cover at most BAND_TILE window positions, an inner axis
+# of BAND_TILE + 10, so SSIM's bits do not depend on the thread count.
+BAND_ALIGN = 8
+BAND_TILE = 120
 
 
 def format_metric(value: float) -> str:
@@ -58,32 +63,38 @@ def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.nd
     return kernel / kernel.sum()
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    kernel = gaussian_kernel(size, sigma)
-    return np.outer(kernel, kernel)
+def ssim_band(positions: int) -> np.ndarray:
+    """The (positions, positions + 10) matrix whose row i holds the 11 Gaussian
+    taps at columns i..i+10 and exact zeros elsewhere: a product with it is the
+    1-D windowed mean at each of `positions` window positions."""
+    band = np.zeros((positions, positions + SSIM_WINDOW - 1))
+    diagonal = np.arange(positions) * (positions + SSIM_WINDOW)  # flat index of (i, i)
+    band.reshape(-1)[diagonal[:, None] + np.arange(SSIM_WINDOW)] = gaussian_kernel()
+    return band
 
 
-def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    rows = sliding_window_view(plane, kernel.size, axis=1) @ kernel
-    return sliding_window_view(rows, kernel.size, axis=0) @ kernel
-
-
-def _ssim_plane(a: np.ndarray, b: np.ndarray, kernel: np.ndarray) -> float:
-    c1 = (SSIM_K1 * 1.0) ** 2
-    c2 = (SSIM_K2 * 1.0) ** 2
-    mu_a = _windowed_mean(a, kernel)
-    mu_b = _windowed_mean(b, kernel)
-    var_a = _windowed_mean(a * a, kernel) - mu_a * mu_a
-    var_b = _windowed_mean(b * b, kernel) - mu_b * mu_b
-    cov = _windowed_mean(a * b, kernel) - mu_a * mu_b
-    score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
-    return float(np.mean(score))
+def _window_means(rows: np.ndarray) -> np.ndarray:
+    """The windowed means along each row of a 2-D array at its width - 10
+    window positions, rounded up to BAND_ALIGN (the extra ones are cut at the
+    edge and hold no mean)."""
+    width = rows.shape[1]
+    positions = -(-(width - SSIM_WINDOW + 1) // BAND_ALIGN) * BAND_ALIGN
+    means = np.empty((rows.shape[0], positions))
+    for first in range(0, positions, BAND_TILE):
+        count = min(BAND_TILE, positions - first)
+        band = ssim_band(count)[:, :width - first]
+        np.matmul(rows[:, first:first + band.shape[1]], band.T, out=means[:, first:first + count])
+    return means
 
 
 def ssim(a: Tensor, b: Tensor) -> float:
-    """Mean SSIM between two (H, W) or (C, H, W) tensors in [0, 1]."""
+    """Mean SSIM between two (H, W) or (C, H, W) tensors in [0, 1].
+
+    The maps a, b, a^2 + b^2 and ab of every channel are stacked, so the
+    separable window is banded GEMMs over all of them at once: along W, then
+    along H of the transposed means. Only var_a + var_b enters the formula,
+    so a^2 and b^2 share a map.
+    """
     if a.shape != b.shape:
         raise ShapeError(f"ssim: shapes differ ({a.shape} vs {b.shape})")
     if a.ndim == 2:
@@ -92,14 +103,26 @@ def ssim(a: Tensor, b: Tensor) -> float:
         planes_a, planes_b = a.data, b.data
     else:
         raise ShapeError(f"ssim expects (H, W) or (C, H, W), got {a.shape}")
-    height, width = planes_a.shape[1:]
+    channels, height, width = planes_a.shape
     if height < SSIM_WINDOW or width < SSIM_WINDOW:
         raise ShapeError(
             f"ssim needs spatial extent >= {SSIM_WINDOW}, got {height}x{width}"
         )
-    kernel = gaussian_kernel()
-    scores = [_ssim_plane(pa, pb, kernel) for pa, pb in zip(planes_a, planes_b)]
-    return float(np.mean(scores))
+    maps = np.stack([planes_a, planes_b, planes_a * planes_a + planes_b * planes_b,
+                     planes_a * planes_b])
+    across = _window_means(maps.reshape(-1, width))
+    across = across.reshape(4 * channels, height, -1).transpose(0, 2, 1)
+    moments = _window_means(across.reshape(-1, height))
+    mu_a, mu_b, squares, product = moments.reshape(4, channels, -1, moments.shape[1])[
+        ..., :width - SSIM_WINDOW + 1, :height - SSIM_WINDOW + 1]
+    c1 = (SSIM_K1 * 1.0) ** 2
+    c2 = (SSIM_K2 * 1.0) ** 2
+    mu_ab = mu_a * mu_b
+    mu_sq = mu_a * mu_a + mu_b * mu_b
+    score = ((2.0 * mu_ab + c1) * (2.0 * (product - mu_ab) + c2)) / (
+        (mu_sq + c1) * (squares - mu_sq + c2)
+    )
+    return float(np.mean(score.mean(axis=(1, 2))))
 
 
 @dataclass

@@ -11,7 +11,9 @@ this order, an image index, a patch top row, and a patch left column, all
 uniform; clean and degraded patches are co-located. The loss log
 ``loss.tsv`` has one row per step: epoch (0-based), global step (1-based),
 lr, total loss, output term, coarse term, all floats via repr so reruns are
-byte-identical. Checkpoints ``ckpt_epoch%04d.bin`` carry parameters, Adam
+byte-identical. It is flushed at every epoch end, and a run resumed into
+the same directory keeps the rows up to its checkpoint's step and appends
+after them. Checkpoints ``ckpt_epoch%04d.bin`` carry parameters, Adam
 moments, counters, and the sampling-stream state, which is what makes
 split training (train N, resume M) bit-identical to training N+M epochs.
 
@@ -21,9 +23,11 @@ A non-finite loss or parameter gradient aborts before the Adam update of its ste
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -295,6 +299,34 @@ def make_train_checkpoint(model: Model, state: AdamState, epoch: int,
     return checkpoint
 
 
+def _open_loss_log(path: Path, step: int) -> TextIO:
+    """The loss log, open for appending after its header and its rows up to `step`.
+
+    A run resumed at global step `step` keeps the rows its checkpoint covers
+    and drops any later ones; a fresh run (step 0), a missing file, or a file
+    that does not start with the header is written from the header alone.
+    Keeping stops at the first row past `step` or cut short by a kill.
+    """
+    header = (LOSS_LOG_HEADER + "\n").encode("ascii")
+    keep = 0
+    if step and path.is_file():
+        data = path.read_bytes()
+        if data.startswith(header):
+            keep = len(header)
+            for row in data[keep:].split(b"\n")[:-1]:  # rows that end in a newline
+                fields = row.split(b"\t")
+                if (len(fields) != header.count(b"\t") + 1 or not fields[1].isdigit()
+                        or int(fields[1]) > step):
+                    break
+                keep += len(row) + 1
+    if keep:
+        os.truncate(path, keep)
+        return open(path, "a", encoding="ascii")
+    log = open(path, "w", encoding="ascii")
+    log.write(LOSS_LOG_HEADER + "\n")
+    return log
+
+
 def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
           derivative_spec: DerivativeSpec, composer_cfg: ComposerConfig,
           cfg: TrainConfig, out_dir: str | Path,
@@ -349,8 +381,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
     params = model.params
     steps_per_epoch = math.ceil(len(corpus) / cfg.batch_size)
     final_path: Path | None = None
-    with open(out_dir / "loss.tsv", "w", encoding="ascii") as log:
-        log.write(LOSS_LOG_HEADER + "\n")
+    with _open_loss_log(out_dir / "loss.tsv", state.t) as log:
         for epoch in range(start_epoch, cfg.epochs):
             lr = lr_at(epoch, cfg)
             for _ in range(steps_per_epoch):
@@ -378,6 +409,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                     f"{epoch}\t{state.t}\t{lr!r}\t{loss_value!r}"
                     f"\t{loss_output.item()!r}\t{loss_coarse.item()!r}\n"
                 )
+            log.flush()
             completed = epoch + 1
             due = cfg.checkpoint_every > 0 and completed % cfg.checkpoint_every == 0
             if due or completed == cfg.epochs:

@@ -8,12 +8,14 @@ agreement between the two is evidence, not tautology.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import taylor_restore
 from taylor_restore.autodiff import Tensor
 from taylor_restore.degrade import (
     DegradationSpec,
@@ -29,6 +31,13 @@ settings.register_profile("deterministic", derandomize=True, deadline=None,
 settings.load_profile("deterministic")
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def child_env(**extra):
+    """The environment for a child process that imports this checkout's package."""
+    package_root = str(Path(taylor_restore.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)), **extra)
 
 
 @pytest.hookimpl(trylast=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import taylor_restore
+from conftest import child_env
 from taylor_restore import cli, trainer
 from taylor_restore.autodiff import Tensor
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
@@ -65,13 +65,6 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_bad_orders_spec_is_usage_error(capsys):
     assert main(["sweep-order", "5..1", "--out", "x"]) == 2
     assert main(["sweep-order", "abc", "--out", "x"]) == 2
-
-
-def child_env(**extra):
-    """The environment for a child process that imports this checkout's package."""
-    package_root = str(Path(taylor_restore.__file__).resolve().parents[1])
-    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)), **extra)
 
 
 def check_console_script(command, env=None):

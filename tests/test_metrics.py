@@ -2,19 +2,23 @@
 plus the TSV report format."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import psnr_bruteforce, rand_tensor, ssim_bruteforce
+from conftest import child_env, psnr_bruteforce, rand_tensor, ssim_bruteforce
 from taylor_restore.autodiff import ShapeError, Tensor
 from taylor_restore.metrics import (
+    BAND_TILE,
     MetricReport,
     MetricRow,
     format_metric,
-    gaussian_window,
+    gaussian_kernel,
     psnr,
     ssim,
+    ssim_band,
 )
 
 
@@ -67,10 +71,16 @@ def test_psnr_shape_mismatch():
 # --- SSIM -----------------------------------------------------------------------
 
 def test_ssim_window_is_normalised():
-    window = gaussian_window()
-    assert window.shape == (11, 11)
-    assert abs(float(window.sum()) - 1.0) <= 1e-12
-    assert float(window.min()) > 0.0
+    # each row of the band is the window at one position: its 11 taps, zeros elsewhere
+    kernel = gaussian_kernel()
+    for positions in (1, 8, 54, BAND_TILE):
+        band = ssim_band(positions)
+        assert band.shape == (positions, positions + 10)
+        for i, row in enumerate(band):
+            assert abs(float(row.sum()) - 1.0) <= 1e-12
+            assert np.array_equal(row[i:i + 11], kernel)
+            assert float(row[i:i + 11].min()) > 0.0
+            assert not row[:i].any() and not row[i + 11:].any()
 
 
 def test_ssim_of_identical_images_is_one():
@@ -92,8 +102,11 @@ def test_ssim_constant_images_hit_luminance_floor():
 
 
 def test_ssim_matches_loop_oracle():
-    # square planes and one non-square one
-    for seed, shape in enumerate([(3, 14, 14)] * 5 + [(3, 13, 19)]):
+    # square planes, non-square ones, a single window position, and extents past
+    # BAND_TILE positions, which take a second banded GEMM along H or along W
+    shapes = [(3, 14, 14)] * 5 + [(3, 13, 19), (1, 11, 11), (3, 11, 40), (2, 29, 12),
+                                  (1, 140, 12), (1, 12, 140)]
+    for seed, shape in enumerate(shapes):
         a, b = image_pair(30 + seed, shape)
         assert abs(ssim(a, b) - ssim_bruteforce(a.data, b.data)) <= 1e-6
 
@@ -111,6 +124,31 @@ def test_ssim_rejects_small_or_mismatched_images():
         ssim(Tensor(np.zeros((3, 14, 14))), Tensor(np.zeros((3, 14, 15))))
     with pytest.raises(ShapeError):
         ssim(Tensor(np.zeros((1, 3, 14, 14))), Tensor(np.zeros((1, 3, 14, 14))))
+
+
+# Independent images score near 0, where a last-bit change in a moment shows. With
+# BAND_ALIGN set to 1, SSIM of the 1 x 100 x 97 pair differs between 1 and 2 threads;
+# with no BAND_TILE limit, that of the 2 x 395 x 102 pair does.
+SSIM_CHILD = """
+import numpy as np
+from taylor_restore.autodiff import Tensor
+from taylor_restore.metrics import ssim
+for shape in [(3, 150, 200), (3, 97, 131), (1, 100, 97), (2, 395, 102)]:
+    rng = np.random.default_rng(7)
+    a, b = rng.random(shape), rng.random(shape)
+    print(ssim(Tensor(a), Tensor(b)).hex())
+"""
+
+
+def test_ssim_bits_do_not_depend_on_blas_threads():
+    printed = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", SSIM_CHILD], capture_output=True,
+                              text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        printed[threads] = proc.stdout.split()
+    assert len(printed["1"]) == 4
+    assert printed["1"] == printed["2"]
 
 
 def test_ssim_degrades_with_noise():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import write_rain_corpus
+from taylor_restore import trainer
 from taylor_restore.autodiff import Graph, Tensor, backward, l1_loss
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.composer import ComposerConfig, compose_orders, framework_loss_terms
@@ -325,6 +326,46 @@ def test_resume_matches_continuous_run(tmp_path):
     res_lines = (tmp_path / "resumed" / "loss.tsv").read_text().splitlines()
     assert res_lines[1].startswith("5\t")
     assert half_lines[1:] + res_lines[1:] == cont_lines[1:]
+
+
+@pytest.mark.parametrize("resume_epoch", [2, 3])
+def test_resume_into_own_directory_keeps_its_log(tmp_path, resume_epoch):
+    corpus_dir = write_rain_corpus(tmp_path / "data", count=8, size=16, seed=12)
+    composer_cfg = ComposerConfig(order=2)
+    continuous = train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, composer_cfg,
+                       tiny_train_cfg(epochs=4, checkpoint_every=2, seed=4),
+                       tmp_path / "cont")
+
+    # The first run logs epoch 2 past its epoch-2 checkpoint, then a row cut
+    # short as if by a kill; the resume drops what its checkpoint does not cover.
+    run = tmp_path / "run"
+    train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, composer_cfg,
+          tiny_train_cfg(epochs=3, checkpoint_every=2, seed=4), run)
+    with open(run / "loss.tsv", "a", encoding="ascii") as log:
+        log.write("3\t7\t0.001\t0.25")
+    resumed = train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, composer_cfg,
+                    tiny_train_cfg(epochs=4, checkpoint_every=2, seed=4), run,
+                    resume_from=run / f"ckpt_epoch{resume_epoch:04d}.bin")
+
+    assert resumed.read_bytes() == continuous.read_bytes()
+    assert (run / "loss.tsv").read_bytes() == (tmp_path / "cont" / "loss.tsv").read_bytes()
+
+
+def test_loss_log_is_on_disk_at_every_checkpoint(tmp_path, monkeypatch):
+    corpus_dir = write_rain_corpus(tmp_path / "data", count=8, size=16, seed=14)
+    out_dir = tmp_path / "run"
+    rows_at_save = []
+
+    def counting_save(path, checkpoint):
+        rows = (out_dir / "loss.tsv").read_text().splitlines()[1:]
+        rows_at_save.append((checkpoint.metadata["train.epoch"], len(rows)))
+        save_checkpoint(path, checkpoint)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
+    train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=1),
+          tiny_train_cfg(epochs=3, checkpoint_every=1), out_dir)
+    # two steps per epoch: every completed epoch's rows are on disk at its save
+    assert rows_at_save == [("1", 2), ("2", 4), ("3", 6)]
 
 
 def test_resume_beyond_config_is_rejected(tmp_path):
