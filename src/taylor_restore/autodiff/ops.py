@@ -7,7 +7,8 @@ Conventions, fixed once here:
       + sum_{c, di, dj} x[n, c, i*stride + di - pad, j*stride + dj - pad]
                         * weight[o, c, di, dj]
   and output height (H + 2*pad - kh) // stride + 1 (width analogous).
-* relu's subgradient at exactly 0 is 0.
+* relu's subgradient at exactly 0 is 0. relu passes NaN through (relu(NaN) is
+  NaN), so a non-finite activation reaches the loss instead of being zeroed.
 * l1_loss is the mean of |pred - target| over all elements; its subgradient
   where pred == target is 0 (sign(0) == 0).
 * add/mul require exactly equal shapes; there is no implicit broadcasting.
@@ -72,11 +73,11 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    out = Tensor(np.maximum(x.data, 0.0))
     graph = active_graph()
     if graph is not None:
         def backward_fn(g: np.ndarray) -> None:
-            x.accumulate_grad(np.where(mask, g, 0.0))
+            x.accumulate_grad(g * mask)
         graph.record("relu", out, backward_fn)
     return out
 
@@ -155,39 +156,49 @@ def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack(grid: np.ndarray, offsets: list[int], width: int) -> np.ndarray:
-    """The slices grid[:, offset:offset + width], stacked tap-major: (len(offsets)*C, width)."""
+def _offsets(kh: int, kw: int, wp: int) -> list[int]:
+    """The grid column offset di*wp + dj of every tap (di, dj), row-major."""
+    return [di * wp + dj for di in range(kh) for dj in range(kw)]
+
+
+def _stack(grid: np.ndarray, offsets: list[int] | range, width: int) -> np.ndarray:
+    """The slices grid[:, offset:offset + width], stacked offset-major: (len(offsets)*C, width)."""
     return np.concatenate([grid[:, offset:offset + width] for offset in offsets])
 
 
-def _correlate(taps: np.ndarray, grid: np.ndarray, offsets: list[int],
+def _correlate(taps: np.ndarray, grid: np.ndarray, wp: int,
                out: np.ndarray) -> np.ndarray | None:
-    """out[:, r] = sum_t taps[t] @ grid[:, r + offsets[t]] for every column r of out.
+    """out[:, r] = sum_{i, j} taps[i, j] @ grid[:, r + i*wp + j] for every column r of out.
 
-    taps is (T, Co, Ci) and grid (Ci, ·), at least out's width plus the largest offset. The
-    GEMM layout follows the tap shape. When one side has at most half the channels of the
-    other, the taps are stacked on that thin side, so each GEMM passes over the wide side once:
-    a thin input is one (Co, T*Ci) GEMM on the stacked shifted slices of the grid, and that
-    stack is returned for reuse; a thin output is one (T*Co, Ci) GEMM over the whole grid whose
-    row blocks are summed shifted. Otherwise each tap is one (Co, Ci) GEMM on its slice, summed.
+    taps is (kh, kw, Co, Ci) and grid (Ci, ·), at least out's width plus (kh-1)*wp + kw-1
+    columns. The GEMM layout follows the tap shape, so that each GEMM passes over the wide side
+    once. A thin input (2*Ci <= Co) is one (Co, kh*kw*Ci) GEMM on the stacked shifted slices of
+    the grid. A thin output (2*Co <= Ci) is one (kh*kw*Co, Ci) GEMM over the whole grid whose
+    row blocks are summed shifted. Otherwise the kw taps of a kernel row are stacked once, as
+    kw slices of the grid (kh-1)*wp columns wider than out, and each kernel row is one
+    (Co, kw*Ci) GEMM on its wp-shifted window of that stack. Returns the stack built of the
+    grid's slices (tap-major for a thin input, row-major otherwise), or None.
     """
-    n_taps, c_out, c_in = taps.shape
+    kh, kw, c_out, c_in = taps.shape
     width = out.shape[1]
+    offsets = _offsets(kh, kw, wp)
     if 2 * c_in <= c_out:
         stack = _stack(grid, offsets, width)
-        np.matmul(taps.transpose(1, 0, 2).reshape(c_out, -1), stack, out=out)
+        np.matmul(taps.transpose(2, 0, 1, 3).reshape(c_out, -1), stack, out=out)
         return stack
     if 2 * c_out <= c_in:
-        products = np.matmul(taps.reshape(-1, c_in), grid).reshape(n_taps, c_out, -1)
-        out[...] = products[0, :, offsets[0]:offsets[0] + width]
-        for t in range(1, n_taps):
+        products = np.matmul(taps.reshape(-1, c_in), grid).reshape(kh * kw, c_out, -1)
+        out[...] = products[0, :, :width]
+        for t in range(1, kh * kw):
             out += products[t, :, offsets[t]:offsets[t] + width]
         return None
-    np.matmul(taps[0], grid[:, offsets[0]:offsets[0] + width], out=out)
+    rows = _stack(grid, range(kw), width + (kh - 1) * wp)
+    row_taps = taps.transpose(0, 2, 1, 3).reshape(kh, c_out, kw * c_in)
+    np.matmul(row_taps[0], rows[:, :width], out=out)
     prod = np.empty_like(out)
-    for tap, offset in zip(taps[1:], offsets[1:]):
-        out += np.matmul(tap, grid[:, offset:offset + width], out=prod)
-    return None
+    for i in range(1, kh):
+        out += np.matmul(row_taps[i], rows[:, i * wp:i * wp + width], out=prod)
+    return rows
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
@@ -196,11 +207,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     Each tap (di, dj) is one column slice of the zero-padded channel-major (Cin, N*Hp*Wp) grid,
     whose column (b*Hp + i)*Wp + j is pixel (b, i, j): output column r reads input column
     r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every stride-th. The
-    forward is `_correlate` of the taps over that grid. dX is `_correlate` of the transposed
-    taps over the upstream gradient shifted right by the last offset, with each offset
-    mirrored: input column q gathers output column q - offset, read at q + (last - offset).
-    dW stacks the thin side as the forward does, reusing dX's stack of the upstream gradient
-    for a thin output.
+    forward is `_correlate` of the taps over that grid. dX is `_correlate` of the flipped,
+    transposed taps over the upstream gradient shifted right by the last offset: input column q
+    gathers output column q - (di*Wp + dj) through tap (di, dj), read at grid column
+    q + ((kh-1-di)*Wp + kw-1-dj), which is flipped tap (kh-1-di, kw-1-dj)'s own offset.
+    dW of a thin input stacks the input's shifted slices as the forward does. Otherwise dW reuses
+    the stack that dX built of the upstream gradient (every tap for a thin output, the kernel
+    rows for C -> C): each of its wp-shifted windows is one GEMM against the input grid, and
+    gives the taps of one kernel row, or all of them, in flipped order.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N, C, H, W), got shape {x.shape}")
@@ -226,14 +240,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
-    offsets = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    offsets = _offsets(kh, kw, wp)
     last = offsets[-1]
     # Both correlations write span columns, every pixel column rounded up to ALIGN, from a grid
     # of last more columns, rounded up, so that every tap's slice lies inside it. Grid columns
     # that hold no pixel are zero.
     span = -(-(n * hp * wp) // ALIGN) * ALIGN
     cols = np.zeros((cin, -(-(span + last) // ALIGN) * ALIGN))
-    taps = weight.data.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+    taps = weight.data.transpose(2, 3, 0, 1)
     thin_in, thin_out = 2 * cin <= cout, 2 * cout <= cin
 
     def pixels(grid: np.ndarray) -> np.ndarray:
@@ -248,7 +262,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     # acc and d_cols are as wide as the grids, so that every (C, ·) buffer of a conv has one size
     # and the allocator reuses its blocks instead of mapping fresh pages each step
     acc = np.empty((cout, cols.shape[1]))
-    _correlate(taps, cols, offsets, acc[:, :span])
+    _correlate(taps, cols, wp, acc[:, :span])
     acc[:, :span] += bias.data[:, None]
     out = Tensor(valid(acc).transpose(1, 0, 2, 3))
 
@@ -260,21 +274,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
             g_grid = np.zeros((cout, cols.shape[1]))
             valid(g_grid[:, last:])[...] = g.transpose(1, 0, 2, 3)
             g_span = g_grid[:, last:last + span]
-            # dW stacks the thin side; a thin output's stack is dX's, so dW follows dX there
             if thin_in:
-                d_taps = _matmul_nt(g_span, _stack(cols, offsets, span))
-                d_taps = d_taps.reshape(cout, -1, cin).transpose(1, 0, 2)
-            elif not thin_out:
-                d_taps = np.stack([_matmul_nt(g_span, cols[:, offset:offset + span])
-                                   for offset in offsets])
+                d_w = _matmul_nt(g_span, _stack(cols, offsets, span))
+                d_w = d_w.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
             d_cols = np.empty_like(cols)
-            g_stack = _correlate(taps.transpose(0, 2, 1), g_grid,
-                                 [last - offset for offset in offsets], d_cols[:, :span])
-            if thin_out:
-                # block t of the stack is the upstream gradient shifted right by offsets[t]
-                d_taps = _matmul_nt(g_stack, cols[:, :span])
+            g_stack = _correlate(taps[::-1, ::-1].transpose(0, 1, 3, 2), g_grid, wp,
+                                 d_cols[:, :span])
+            if not thin_in:
+                # block j of window di*wp of dX's stack is the upstream gradient shifted right by
+                # the offset of tap (kh-1-di, kw-1-j); a thin output's stack is one window
+                d_w = np.stack([_matmul_nt(g_stack[:, di * wp:di * wp + span], cols[:, :span])
+                                for di in range(1 if thin_out else kh)])
+                d_w = d_w.reshape(kh, kw, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1)
             del g_grid, g_span, g_stack  # x's gradient below reuses their blocks
-            weight.accumulate_grad(d_taps.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+            weight.accumulate_grad(d_w)
             d_x = pixels(d_cols)[:, :, pad:pad + h, pad:pad + w]
             x.accumulate_grad(d_x.transpose(1, 0, 2, 3))
         graph.record("conv2d", out, backward_fn)

@@ -46,8 +46,21 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a sibling temp file that replaces ``path`` only once it is complete,
+    so ``path`` holds either its earlier bytes or all of the new ones. A failed write or
+    replace removes the temp file."""
+    temp = Path(f"{path}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    except OSError:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
-    """Write atomically: a sibling temp file replaces ``path`` only once it is complete."""
+    """Write atomically (``write_atomic``)."""
     parts: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
     meta_items = sorted(checkpoint.metadata.items())
     parts.append(struct.pack("<I", len(meta_items)))
@@ -66,9 +79,7 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
         parts.append(struct.pack("<I", array.ndim))
         parts.append(struct.pack(f"<{array.ndim}Q", *array.shape) if array.ndim else b"")
         parts.append(array.astype("<f8", copy=False).tobytes())
-    temp = Path(f"{path}.tmp")
-    temp.write_bytes(b"".join(parts))
-    os.replace(temp, path)
+    write_atomic(path, b"".join(parts))
 
 
 class _Reader:

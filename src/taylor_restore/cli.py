@@ -16,7 +16,7 @@ import concurrent.futures
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, write_atomic
 from .degrade import corpus_clean_seed, generate_clean, make_corpus
 from .errors import ConfigError, DivergenceError, FormatError
 from .metrics import evaluate, format_metric
@@ -289,7 +289,7 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
             lines.append(f"{order}\t{format_metric(mean_psnr)}\t{format_metric(mean_ssim)}")
         else:
             lines.append(f"{order}\tFAILED\tFAILED")
-    (out_dir / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(out_dir / "sweep.tsv", ("\n".join(lines) + "\n").encode("ascii"))
     for order in orders:
         if order in failures:
             print(f"order {order} FAILED: {failures[order]}", file=sys.stderr)

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeError, Tensor
+from .checkpoint import write_atomic
 from .degrade import read_manifest
 from .errors import FormatError
 from .trainer import Model, read_pair  # reads through trainer.read_ppm, which perfbench wraps
@@ -152,7 +153,7 @@ class MetricReport:
         lines.append(
             f"mean\t-\t{format_metric(self.mean_psnr)}\t{format_metric(self.mean_ssim)}"
         )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .checkpoint import write_atomic
 from .composer import G0_SOURCES, VARIANTS, ComposerConfig
 from .degrade import KERNEL_KINDS, KINDS, BlurParams, DegradationSpec, RainParams
 from .errors import ConfigError
@@ -175,7 +176,7 @@ def echo_text(cfg: dict[str, object]) -> str:
 def write_echo(cfg: dict[str, object], out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.echo").write_text(echo_text(cfg), encoding="utf-8")
+    write_atomic(out_dir / "config.echo", echo_text(cfg).encode("utf-8"))
 
 
 def _wrap(build: Callable[[], object], what: str):

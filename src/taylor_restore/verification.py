@@ -47,9 +47,9 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
     rng = SplitMix64(seed)
     results: list[tuple[str, float]] = []
 
-    # one weight shape per conv2d GEMM layout: per-tap, thin input, thin output; the thin ones
-    # are the narrowest that reach their layout, so that few gradients lie near zero, where a
-    # relative error is all rounding
+    # one weight shape per conv2d GEMM layout: stacked kernel rows (C -> C), thin input, thin
+    # output; the thin ones are the narrowest that reach their layout, so that few gradients lie
+    # near zero, where a relative error is all rounding
     conv_errors = []
     for cin, cout in ((3, 4), (1, 2), (2, 1)):
         x = _rand(rng, (2, cin, 6, 5))

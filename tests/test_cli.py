@@ -390,15 +390,46 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, capsys, monkey
     assert main(train_args(data, tmp_path / "run")) == 0
     earlier = path.read_bytes()
 
-    def failing_replace(src, dst):
-        raise OSError(f"cannot replace {dst}")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(os, "replace", replace_failing_for(path.name))
     # another seed, so that a non-atomic write would change the bytes
     assert main(train_args(data, tmp_path / "run", extra=["--seed", "4"])) == 3
     assert "io error" in capsys.readouterr().err
     assert path.read_bytes() == earlier
     load_checkpoint(path)
+
+
+def replace_failing_for(name):
+    """os.replace, except that it raises for a destination called `name`."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError(f"cannot replace {dst}")
+        real_replace(src, dst)
+    return replace
+
+
+@pytest.mark.parametrize("name", ["config.echo", "metrics.tsv", "sweep.tsv"])
+def test_failed_output_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch, name):
+    """config.echo, metrics.tsv and sweep.tsv are put in place as checkpoints are: one that
+    cannot be leaves the earlier file whole and no temp file, and the run exits 3."""
+    out = tmp_path / "out"
+    ckpt = identity_checkpoint(tmp_path / "identity.bin")
+
+    def argv(seed):
+        data = synthesize(tmp_path / f"data{seed}", size=24, seed=seed)
+        if name == "sweep.tsv":
+            return ["sweep-order", "0", "--data", str(data), "--out", str(out), *sweep_sets()]
+        return ["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]
+
+    first, second = argv(5), argv(6)  # another corpus, so that the bytes would change
+    assert main(first) == 0
+    earlier = (out / name).read_bytes()
+    monkeypatch.setattr(os, "replace", replace_failing_for(name))
+    assert main(second) == 3
+    assert "io error" in capsys.readouterr().err
+    assert (out / name).read_bytes() == earlier
+    assert not (out / f"{name}.tmp").exists()
 
 
 def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):

@@ -81,6 +81,10 @@ FORWARD_CASES = [
     dict(x=(2, 8, 6, 5), w=(3, 8, 3, 3), pad=1, stride=2),
     dict(x=(1, 6, 7, 7), w=(2, 6, 5, 5), pad=2, stride=1),
     dict(x=(2, 4, 4, 5), w=(2, 4, 1, 1), pad=1, stride=1),
+    # C -> C: the kw taps of a kernel row are stacked, one GEMM per kernel row
+    dict(x=(2, 3, 9, 8), w=(4, 3, 5, 3), pad=2, stride=2),
+    dict(x=(1, 4, 8, 11), w=(3, 4, 3, 5), pad=1, stride=3),
+    dict(x=(2, 3, 6, 7), w=(3, 3, 3, 3), pad=3, stride=1),
 ]
 
 
@@ -127,6 +131,15 @@ BACKWARD_CASES = [
     dict(x=(2, 2, 6, 7), w=(6, 2, 1, 5), pad=0, stride=1),
     dict(x=(2, 8, 6, 7), w=(3, 8, 1, 5), pad=2, stride=3),
     dict(x=(2, 6, 7, 5), w=(2, 6, 5, 3), pad=1, stride=1),
+    # C -> C kernel rows: kh != kw at strides 2 and 3, pad wider than k // 2, and a grid of
+    # 5,208 columns, longer than one dW block
+    dict(x=(2, 3, 9, 8), w=(4, 3, 5, 3), pad=2, stride=2),
+    dict(x=(2, 4, 8, 9), w=(3, 4, 3, 5), pad=1, stride=2),
+    dict(x=(2, 3, 10, 9), w=(3, 3, 5, 3), pad=1, stride=3),
+    dict(x=(2, 3, 9, 10), w=(4, 3, 3, 5), pad=2, stride=3),
+    dict(x=(2, 3, 5, 6), w=(4, 3, 3, 3), pad=3, stride=1),
+    dict(x=(2, 2, 6, 5), w=(3, 2, 5, 3), pad=4, stride=1),
+    dict(x=(2, 2, 40, 60), w=(2, 2, 5, 3), pad=1, stride=1),
 ]
 
 
@@ -220,6 +233,16 @@ def test_conv2d_forward_is_deterministic():
 
 
 # --- elementwise and reductions ---------------------------------------------
+
+def test_relu_passes_nan_through():
+    x = Tensor([np.nan, -1.0, 2.0])
+    with Graph() as graph:
+        loss = sum_all(relu(x))
+    out = relu(x).data
+    assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 2.0]
+    backward(loss, graph)
+    assert x.grad.tolist() == [0.0, 0.0, 1.0]
+
 
 def test_relu_values_and_subgradient_at_zero():
     x = Tensor([-1.0, 0.0, 2.0])
