@@ -11,7 +11,7 @@ Conventions, fixed once here:
   NaN), so a non-finite activation reaches the loss instead of being zeroed.
 * l1_loss is the mean of |pred - target| over all elements; its subgradient
   where pred == target is 0 (sign(0) == 0).
-* add/mul require exactly equal shapes; there is no implicit broadcasting.
+* add and l1_loss require exactly equal shapes; there is no implicit broadcasting.
 
 Each op computes its output eagerly and, when a Graph is active, records a
 closure that turns the output's gradient into gradient contributions for the
@@ -42,20 +42,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g)
             b.accumulate_grad(g)
         graph.record("add", out, backward_fn)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product."""
-    _require_equal_shapes("mul", a, b)
-    out = Tensor(a.data * b.data)
-    graph = active_graph()
-    if graph is not None:
-        a_data, b_data = a.data.copy(), b.data.copy()
-        def backward_fn(g: np.ndarray) -> None:
-            a.accumulate_grad(g * b_data)
-            b.accumulate_grad(g * a_data)
-        graph.record("mul", out, backward_fn)
     return out
 
 
@@ -99,27 +85,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g[:, :split])
             b.accumulate_grad(g[:, split:])
         graph.record("concat_channels", out, backward_fn)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.sum(x.data))
-    graph = active_graph()
-    if graph is not None:
-        def backward_fn(g: np.ndarray) -> None:
-            x.accumulate_grad(np.broadcast_to(g, x.shape))
-        graph.record("sum_all", out, backward_fn)
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(np.mean(x.data))
-    graph = active_graph()
-    if graph is not None:
-        inv = 1.0 / x.size
-        def backward_fn(g: np.ndarray) -> None:
-            x.accumulate_grad(np.broadcast_to(g * inv, x.shape))
-        graph.record("mean_all", out, backward_fn)
     return out
 
 

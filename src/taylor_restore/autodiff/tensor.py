@@ -34,10 +34,6 @@ class Tensor:
     def zeros(cls, shape) -> "Tensor":
         return cls(np.zeros(shape))
 
-    @classmethod
-    def full(cls, shape, value: float) -> "Tensor":
-        return cls(np.full(shape, float(value)))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -88,9 +84,6 @@ class Graph:
 
     def record(self, name: str, output: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
         self._records.append((name, output, backward_fn))
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def __enter__(self) -> "Graph":
         _TAPES.stack.append(self)

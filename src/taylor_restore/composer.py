@@ -48,13 +48,13 @@ class ComposerConfig:
 
     def __post_init__(self):
         if not (0 <= self.order <= MAX_ORDER):
-            raise ValueError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
+            raise ValueError(f"composer order must be in [0, {MAX_ORDER}], got {self.order}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+            raise ValueError(f"composer lambda must be finite and >= 0, got {self.lam}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"composer variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.g0 not in G0_SOURCES:
-            raise ValueError(f"g0 must be one of {G0_SOURCES}, got {self.g0!r}")
+            raise ValueError(f"composer g0 must be one of {G0_SOURCES}, got {self.g0!r}")
 
 
 @dataclass

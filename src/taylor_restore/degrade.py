@@ -250,17 +250,18 @@ def generate_clean(height: int, width: int, seed: int) -> Tensor:
 
 
 def _bilinear_upsample(coarse: np.ndarray, height: int, width: int) -> np.ndarray:
+    """coarse (C, grid, grid), grid >= 2, bilinearly resampled to (C, height, width)."""
     grid = coarse.shape[1]
     ys = np.linspace(0.0, grid - 1.0, height)
     xs = np.linspace(0.0, grid - 1.0, width)
-    y0 = np.minimum(ys.astype(int), grid - 2) if grid > 1 else np.zeros(height, int)
-    x0 = np.minimum(xs.astype(int), grid - 2) if grid > 1 else np.zeros(width, int)
+    y0 = np.minimum(ys.astype(int), grid - 2)
+    x0 = np.minimum(xs.astype(int), grid - 2)
     fy = (ys - y0)[None, :, None]
     fx = (xs - x0)[None, None, :]
     v00 = coarse[:, y0][:, :, x0]
-    v01 = coarse[:, y0][:, :, x0 + 1] if grid > 1 else v00
-    v10 = coarse[:, y0 + 1][:, :, x0] if grid > 1 else v00
-    v11 = coarse[:, y0 + 1][:, :, x0 + 1] if grid > 1 else v00
+    v01 = coarse[:, y0][:, :, x0 + 1]
+    v10 = coarse[:, y0 + 1][:, :, x0]
+    v11 = coarse[:, y0 + 1][:, :, x0 + 1]
     top = v00 * (1.0 - fx) + v01 * fx
     bottom = v10 * (1.0 - fx) + v11 * fx
     return top * (1.0 - fy) + bottom * fy

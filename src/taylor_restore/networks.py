@@ -73,15 +73,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._by_name[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         for name in sorted(self._by_name):
             yield name, self._by_name[name]
@@ -136,14 +127,6 @@ def init_params(spec: MappingSpec | DerivativeSpec, seed: int,
         else:
             std = math.sqrt(2.0 / math.prod(shape[1:]))
             params.add(name, Tensor(rng.gaussians(math.prod(shape)).reshape(shape) * std))
-    return params
-
-
-def zero_params(spec: MappingSpec | DerivativeSpec) -> ParamSet:
-    """All-zero parameters (the mapping net is then the identity)."""
-    params = ParamSet()
-    for name, shape in param_shapes(spec).items():
-        params.add(name, Tensor.zeros(shape))
     return params
 
 

@@ -133,6 +133,3 @@ class SplitMix64:
         out[0::2] = radius * np.cos(angle)
         out[1::2] = radius * np.sin(angle)
         return out[:n]
-
-    def gaussian(self) -> float:
-        return float(self.gaussians(1)[0])

@@ -23,7 +23,7 @@ from .composer import G0_SOURCES, VARIANTS, ComposerConfig
 from .degrade import KERNEL_KINDS, KINDS, BlurParams, DegradationSpec, RainParams
 from .errors import ConfigError
 from .networks import DerivativeSpec, MappingSpec
-from .trainer import TrainConfig
+from .trainer import TrainConfig, model_specs
 
 
 def _parse_int(text: str) -> int:
@@ -213,29 +213,15 @@ def degradation_spec_from(cfg: dict[str, object]) -> DegradationSpec:
 
 
 def mapping_spec_from(cfg: dict[str, object]) -> MappingSpec:
-    return _wrap(lambda: MappingSpec(
-        in_channels=cfg["model.in_channels"],
-        channels=cfg["model.mapping_channels"],
-        blocks=cfg["model.mapping_blocks"],
-        kernel=cfg["model.kernel_size"],
-    ), "model settings")
+    return _wrap(lambda: model_specs(cfg), "model settings")[0]
 
 
 def derivative_spec_from(cfg: dict[str, object]) -> DerivativeSpec:
-    return _wrap(lambda: DerivativeSpec(
-        in_channels=cfg["model.in_channels"],
-        channels=cfg["model.derivative_channels"],
-        kernel=cfg["model.kernel_size"],
-    ), "model settings")
+    return _wrap(lambda: model_specs(cfg), "model settings")[1]
 
 
 def composer_config_from(cfg: dict[str, object]) -> ComposerConfig:
-    return _wrap(lambda: ComposerConfig(
-        order=cfg["composer.order"],
-        lam=cfg["composer.lambda"],
-        variant=cfg["composer.variant"],
-        g0=cfg["composer.g0"],
-    ), "composer settings")
+    return _wrap(lambda: model_specs(cfg), "model settings")[2]
 
 
 def train_config_from(cfg: dict[str, object]) -> TrainConfig:

@@ -200,8 +200,8 @@ def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: i
     return Tensor(np.stack(degraded_patches)), Tensor(np.stack(clean_patches))
 
 
-# Checkpoint metadata describing a model: key -> (part, field, parser). The
-# derivative net takes in_channels and kernel from the mapping net.
+# Checkpoint metadata and config keys describing a model: key -> (part, field, parser).
+# The derivative net takes in_channels and kernel from the mapping net.
 MODEL_METADATA = {
     "model.in_channels": ("mapping", "in_channels", int),
     "model.mapping_channels": ("mapping", "channels", int),
@@ -213,6 +213,19 @@ MODEL_METADATA = {
     "composer.variant": ("composer", "variant", str),
     "composer.g0": ("composer", "g0", str),
 }
+
+
+def model_specs(values: dict) -> tuple[MappingSpec, DerivativeSpec, ComposerConfig]:
+    """The specs that parsed ``MODEL_METADATA`` values describe; an absent key takes its
+    field's default. An invalid value raises ValueError."""
+    fields: dict[str, dict] = {"mapping": {}, "derivative": {}, "composer": {}}
+    for key, (part, name, _) in MODEL_METADATA.items():
+        if key in values:
+            fields[part][name] = values[key]
+    mapping = MappingSpec(**fields["mapping"])
+    derivative = DerivativeSpec(in_channels=mapping.in_channels, kernel=mapping.kernel,
+                                **fields["derivative"])
+    return mapping, derivative, ComposerConfig(**fields["composer"])
 
 
 @dataclass
@@ -257,15 +270,11 @@ class Model:
         when the order is positive; the composer's variant and g0 take their
         defaults when absent.
         """
-        fields: dict[str, dict] = {"mapping": {}, "derivative": {}, "composer": {}}
-        for key, (part, name, parse) in MODEL_METADATA.items():
-            if parse is not str or key in checkpoint.metadata:
-                fields[part][name] = meta_value(checkpoint, key, parse)
+        values = {key: meta_value(checkpoint, key, parse)
+                  for key, (_, _, parse) in MODEL_METADATA.items()
+                  if parse is not str or key in checkpoint.metadata}
         try:
-            mapping = MappingSpec(**fields["mapping"])
-            derivative = DerivativeSpec(in_channels=mapping.in_channels,
-                                        kernel=mapping.kernel, **fields["derivative"])
-            composer = ComposerConfig(**fields["composer"])
+            mapping, derivative, composer = model_specs(values)
         except ValueError as exc:
             raise FormatError(f"checkpoint metadata describes an invalid model: {exc}") from exc
         stored = [name for name in checkpoint.tensors if name.startswith(PARAM_PREFIX)]

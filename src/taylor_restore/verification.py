@@ -1,26 +1,20 @@
 """Gradient verification suites: per-op checks and the tiny composed model.
 
 Each check compares analytic gradients against central finite differences on
-seeded random inputs. Quadratic heads (mean of the square) are used where an
-op's own output is not scalar, so errors in the op's adjoint cannot hide
-behind a linear reduction.
+seeded random inputs. An op whose output is not scalar is checked through
+l1_loss against a fixed target 0.5 to 1 away from each output element, on a
+random side: the loss is then exactly linear within reach of the step, and its
+cotangent is a random sign over the output size, so errors in the op's adjoint
+cannot cancel in a uniform reduction.
 """
 
 from __future__ import annotations
 
-from .autodiff import (
-    Tensor,
-    add,
-    check_gradients,
-    concat_channels,
-    conv2d,
-    l1_loss,
-    mean_all,
-    mul,
-    relu,
-    scale,
-    sum_all,
-)
+from typing import Callable
+
+import numpy as np
+
+from .autodiff import Tensor, add, check_gradients, concat_channels, conv2d, l1_loss, relu, scale
 from .composer import ComposerConfig, VARIANTS, framework_loss
 from .networks import DerivativeSpec, MappingSpec
 from .prng import SplitMix64, derive_stream
@@ -42,77 +36,41 @@ def _rand(rng: SplitMix64, shape: tuple[int, ...], lo: float = -1.0, hi: float =
     return Tensor(lo + (hi - lo) * rng.uniforms(count).reshape(shape))
 
 
+def _check_op(rng: SplitMix64, op: Callable[..., Tensor], inputs: list[Tensor],
+              h: float = 1e-5) -> float:
+    """check_gradients of l1_loss(op(*inputs), target), the target 0.5 to 1 from every output
+    element on a random side."""
+    out = op(*inputs).data
+    side = np.where(rng.uniforms(out.size) < 0.5, -1.0, 1.0)
+    offset = side * (0.5 + 0.5 * rng.uniforms(out.size))
+    target = Tensor(out + offset.reshape(out.shape))
+    return check_gradients(lambda: l1_loss(op(*inputs), target), inputs, h)
+
+
 def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
     """(op name, max relative error) for every differentiable op."""
     rng = SplitMix64(seed)
-    results: list[tuple[str, float]] = []
-
     # one weight shape per conv2d GEMM layout: stacked kernel rows (C -> C), thin input, thin
     # output; the thin ones are the narrowest that reach their layout, so that few gradients lie
-    # near zero, where a relative error is all rounding
-    conv_errors = []
-    for cin, cout in ((3, 4), (1, 2), (2, 1)):
-        x = _rand(rng, (2, cin, 6, 5))
-        w = _rand(rng, (cout, cin, 3, 3))
-        b = _rand(rng, (cout,))
-        def f_conv() -> Tensor:
-            out = conv2d(x, w, b, pad=1, stride=2)
-            return mean_all(mul(out, out))
-        # mean(out²) is exactly quadratic in each single coordinate, so a central difference has
-        # no truncation error, only rounding of about eps·|L|/h; a wide step keeps that rounding
-        # far below the threshold where a gradient entry is near zero
-        conv_errors.append(check_gradients(f_conv, [x, w, b], h=1e-3))
-    results.append(("conv2d", max(conv_errors)))
-
-    r = _rand(rng, (3, 4, 5))
-    def f_relu() -> Tensor:
-        out = relu(r)
-        return mean_all(mul(out, out))
-    results.append(("relu", check_gradients(f_relu, [r])))
-
-    ca = _rand(rng, (2, 2, 3, 3))
-    cb = _rand(rng, (2, 3, 3, 3))
-    def f_concat() -> Tensor:
-        out = concat_channels(ca, cb)
-        return mean_all(mul(out, out))
-    results.append(("concat_channels", check_gradients(f_concat, [ca, cb])))
-
-    aa = _rand(rng, (3, 4))
-    ab = _rand(rng, (3, 4))
-    def f_add() -> Tensor:
-        out = add(aa, ab)
-        return mean_all(mul(out, out))
-    results.append(("add", check_gradients(f_add, [aa, ab])))
-
-    ma = _rand(rng, (3, 4))
-    mb = _rand(rng, (3, 4))
-    def f_mul() -> Tensor:
-        return mean_all(mul(ma, mb))
-    results.append(("mul", check_gradients(f_mul, [ma, mb])))
-
-    sc = _rand(rng, (3, 4))
-    def f_scale() -> Tensor:
-        out = scale(sc, -1.75)
-        return mean_all(mul(out, out))
-    results.append(("scale", check_gradients(f_scale, [sc])))
-
-    su = _rand(rng, (2, 5))
-    def f_sum() -> Tensor:
-        return sum_all(mul(su, su))
-    results.append(("sum_all", check_gradients(f_sum, [su])))
-
-    me = _rand(rng, (2, 5))
-    def f_mean() -> Tensor:
-        return mean_all(mul(me, me))
-    results.append(("mean_all", check_gradients(f_mean, [me])))
-
-    lp = _rand(rng, (2, 3, 4, 4))
-    lt = _rand(rng, (2, 3, 4, 4))
-    def f_l1() -> Tensor:
-        return l1_loss(lp, lt)
-    results.append(("l1_loss", check_gradients(f_l1, [lp, lt])))
-
-    return results
+    # near zero, where a relative error is all rounding. The loss is linear in each single
+    # coordinate, so a wide step has no truncation error and keeps rounding far below the
+    # threshold; a step of 0.1 moves no output element by more than 0.1.
+    conv_errors = [
+        _check_op(rng, lambda x, w, b: conv2d(x, w, b, pad=1, stride=2),
+                  [_rand(rng, (2, cin, 6, 5)), _rand(rng, (cout, cin, 3, 3)), _rand(rng, (cout,))],
+                  h=0.1)
+        for cin, cout in ((3, 4), (1, 2), (2, 1))
+    ]
+    lp, lt = _rand(rng, (2, 3, 4, 4)), _rand(rng, (2, 3, 4, 4))
+    return [
+        ("conv2d", max(conv_errors)),
+        ("relu", _check_op(rng, relu, [_rand(rng, (3, 4, 5))])),
+        ("concat_channels", _check_op(rng, concat_channels,
+                                      [_rand(rng, (2, 2, 3, 3)), _rand(rng, (2, 3, 3, 3))])),
+        ("add", _check_op(rng, add, [_rand(rng, (3, 4)), _rand(rng, (3, 4))])),
+        ("scale", _check_op(rng, lambda a: scale(a, -1.75), [_rand(rng, (3, 4))])),
+        ("l1_loss", check_gradients(lambda: l1_loss(lp, lt), [lp, lt])),
+    ]
 
 
 def build_tiny_model(variant: str, seed: int = 7):

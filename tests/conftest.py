@@ -16,7 +16,7 @@ import pytest
 from hypothesis import settings
 
 import taylor_restore
-from taylor_restore.autodiff import Tensor
+from taylor_restore.autodiff import Graph, Tensor
 from taylor_restore.degrade import (
     DegradationSpec,
     RainParams,
@@ -56,6 +56,14 @@ def rand_tensor(seed: int, shape: tuple[int, ...],
     for extent in shape:
         count *= extent
     return Tensor(lo + (hi - lo) * rng.uniforms(count).reshape(shape))
+
+
+def weighted_sum(graph: Graph, out: Tensor, weights: np.ndarray | float = 1.0) -> Tensor:
+    """sum(out * weights) as a scalar recorded on graph: backward hands out exactly
+    weights (broadcast to out's shape) as its upstream gradient."""
+    loss = Tensor(np.sum(out.data * weights))
+    graph.record("weighted_sum", loss, lambda g: out.accumulate_grad(g * weights))
+    return loss
 
 
 def write_rain_corpus(out_dir: Path, count: int, size: int, seed: int,

@@ -19,7 +19,7 @@ from taylor_restore.autodiff import Tensor
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.cli import main
 from taylor_restore.composer import ComposerConfig
-from taylor_restore.networks import DerivativeSpec, MappingSpec, zero_params
+from taylor_restore.networks import DerivativeSpec, MappingSpec
 from taylor_restore.ppm import write_ppm
 from taylor_restore.trainer import AdamState, Model, make_train_checkpoint
 
@@ -446,7 +446,7 @@ def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):
     def poisoning_backward(loss, graph):
         real_backward(loss, graph)
         params, _ = built[0]
-        params[params.names()[-1]].grad[...] = np.nan
+        params.tensors()[-1].grad[...] = np.nan
 
     real_init, real_backward = Model.init, trainer.backward
     monkeypatch.setattr(Model, "init", recording_init)
@@ -454,7 +454,8 @@ def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(train_args(data, out)) == 4
     params, initial = built[0]
-    assert f"non-finite gradient of {params.names()[-1]} nan at step 1" in capsys.readouterr().err
+    last = list(params.items())[-1][0]
+    assert f"non-finite gradient of {last} nan at step 1" in capsys.readouterr().err
     for name, tensor in params.items():
         assert np.array_equal(tensor.data, initial[name]), name
     assert not list(out.glob("ckpt_*"))
@@ -466,8 +467,9 @@ def identity_checkpoint(path, in_channels=3):
     # an order-0 model with all-zero convolutions: restoration == input
     mapping_spec = MappingSpec(in_channels=in_channels, channels=4, blocks=1)
     derivative_spec = DerivativeSpec(in_channels=in_channels, channels=4)
-    model = Model(mapping_spec, derivative_spec, ComposerConfig(order=0),
-                  zero_params(mapping_spec))
+    model = Model.init(mapping_spec, derivative_spec, ComposerConfig(order=0), seed=0)
+    for tensor in model.params.tensors():
+        tensor.data[...] = 0.0
     ckpt = make_train_checkpoint(model, AdamState.for_params(model.params),
                                  epoch=0, rng_state=0)
     save_checkpoint(path, ckpt)

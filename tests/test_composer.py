@@ -37,7 +37,7 @@ def constant_mapping(value):
 
 
 def constant_derivative(value):
-    return lambda g, y: Tensor.full(g.shape, value)
+    return lambda g, y: Tensor(np.full(g.shape, value))
 
 
 def test_config_validation():
@@ -133,7 +133,7 @@ def test_assemble_output_empty_series():
 
 def test_assemble_output_factorial_weights():
     f = Tensor(np.zeros(SHAPE))
-    g = [Tensor.full(SHAPE, 6.0), Tensor.full(SHAPE, 6.0), Tensor.full(SHAPE, 6.0)]
+    g = [Tensor(np.full(SHAPE, 6.0)) for _ in range(3)]
     out = assemble_output(f, g)
     # 6/1! + 6/2! + 6/3! = 6 + 3 + 1
     assert float(np.abs(out.data - 10.0).max()) <= 1e-12
@@ -142,8 +142,8 @@ def test_assemble_output_factorial_weights():
 def test_loss_terms_hand_example():
     # mean |O - x| = 0.2 and mean |f - x| = 0.4 combine to 0.2 + 1.0 * 0.4
     x = Tensor(np.zeros(SHAPE))
-    trace = ComposerTrace(f_out=Tensor.full(SHAPE, 0.4), g=[],
-                          output=Tensor.full(SHAPE, 0.2))
+    trace = ComposerTrace(f_out=Tensor(np.full(SHAPE, 0.4)), g=[],
+                          output=Tensor(np.full(SHAPE, 0.2)))
     cfg = ComposerConfig(order=0, lam=1.0)
     total, loss_output, loss_coarse = framework_loss_terms(trace, x, cfg)
     assert loss_output.item() == pytest.approx(0.2, abs=1e-15)
@@ -154,8 +154,8 @@ def test_loss_terms_hand_example():
 
 def test_loss_lambda_zero_drops_coarse_term():
     x = Tensor(np.zeros(SHAPE))
-    trace = ComposerTrace(f_out=Tensor.full(SHAPE, 0.8), g=[],
-                          output=Tensor.full(SHAPE, 0.2))
+    trace = ComposerTrace(f_out=Tensor(np.full(SHAPE, 0.8)), g=[],
+                          output=Tensor(np.full(SHAPE, 0.2)))
     cfg = ComposerConfig(order=0, lam=0.0)
     total, loss_output, loss_coarse = framework_loss_terms(trace, x, cfg)
     assert total.item() == loss_output.item() == pytest.approx(0.2, abs=1e-15)
@@ -190,7 +190,7 @@ def test_gradients_reach_both_networks(variant):
     backward(loss, graph)
 
     for params in (mparams, dparams):
-        for name in params.names():
+        for name, _ in params.items():
             grad = params[name].grad
             assert grad is not None, name
             assert float(np.abs(grad).max()) > 0.0, name

@@ -7,15 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_tensor
-from taylor_restore.autodiff import Graph, ShapeError, backward, mean_all, mul
+from conftest import rand_tensor, weighted_sum
+from taylor_restore.autodiff import Graph, ShapeError, backward
 from taylor_restore.networks import (
     DerivativeSpec,
     MappingSpec,
     forward_derivative,
     forward_mapping,
     init_params,
-    zero_params,
 )
 
 
@@ -35,13 +34,13 @@ def test_spec_validation():
 
 def test_init_is_deterministic_and_seed_sensitive():
     spec = MappingSpec(channels=6, blocks=2)
-    a = init_params(spec, 42)
-    b = init_params(spec, 42)
-    c = init_params(spec, 43)
-    assert a.names() == b.names() == c.names()
-    for name in a.names():
+    a = dict(init_params(spec, 42).items())
+    b = dict(init_params(spec, 42).items())
+    c = dict(init_params(spec, 43).items())
+    assert list(a) == list(b) == list(c)
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data)
-    assert any(not np.array_equal(a[name].data, c[name].data) for name in a.names())
+    assert any(not np.array_equal(a[name].data, c[name].data) for name in a)
 
 
 def test_biases_start_at_zero():
@@ -65,16 +64,22 @@ def test_weight_scale_matches_fan_in():
 def test_zero_mapping_is_identity():
     # all-zero convolutions leave only the global skip connection
     spec = MappingSpec(channels=4, blocks=1)
+    params = init_params(spec, 1)
+    for tensor in params.tensors():
+        tensor.data[...] = 0.0
     y = rand_tensor(9, (2, 3, 9, 13), 0.0, 1.0)
-    out = forward_mapping(zero_params(spec), spec, y)
+    out = forward_mapping(params, spec, y)
     assert np.array_equal(out.data, y.data)
 
 
 def test_zero_derivative_net_outputs_zero():
     spec = DerivativeSpec(in_channels=3, channels=4)
+    params = init_params(spec, 1)
+    for tensor in params.tensors():
+        tensor.data[...] = 0.0
     y = rand_tensor(10, (1, 3, 8, 8), 0.0, 1.0)
     g = rand_tensor(11, (1, 3, 8, 8), 0.0, 1.0)
-    out = forward_derivative(zero_params(spec), spec, g, y)
+    out = forward_derivative(params, spec, g, y)
     assert out.shape == g.shape
     assert float(np.abs(out.data).max()) == 0.0
 
@@ -107,9 +112,10 @@ def test_forward_derivative_rejects_mismatched_pair():
 
 def test_param_set_interface():
     params = init_params(MappingSpec(channels=4, blocks=0), 5)
-    assert params.names() == sorted(params.names())
-    assert "mapping.conv_in.weight" in params
-    assert len(params) == 4  # conv_in + conv_out, each weight + bias
+    names = [name for name, _ in params.items()]
+    assert names == sorted(names)
+    assert "mapping.conv_in.weight" in names
+    assert len(params.tensors()) == 4  # conv_in + conv_out, each weight + bias
     for tensor in params.tensors():
         tensor.grad = np.zeros(tensor.shape)
     params.zero_grads()
@@ -123,23 +129,24 @@ def test_shared_weight_gradients_sum_over_stages():
     y = rand_tensor(17, (1, 2, 8, 8), 0.0, 1.0)
     g0 = rand_tensor(18, (1, 2, 8, 8), 0.0, 1.0)
 
+    upstream = rand_tensor(19, (1, 2, 8, 8)).data
     shared = init_params(spec, 3)
     with Graph() as graph:
         s1 = forward_derivative(shared, spec, g0, y)
         s2 = forward_derivative(shared, spec, s1, y)
-        loss = mean_all(mul(s2, s2))
+        loss = weighted_sum(graph, s2, upstream)
     backward(loss, graph)
-    shared_grads = {name: shared[name].grad.copy() for name in shared.names()}
+    shared_grads = {name: tensor.grad.copy() for name, tensor in shared.items()}
 
     copy_a = init_params(spec, 3)  # same values, independent storage
     copy_b = init_params(spec, 3)
     with Graph() as graph:
         s1 = forward_derivative(copy_a, spec, g0, y)
         s2 = forward_derivative(copy_b, spec, s1, y)
-        loss = mean_all(mul(s2, s2))
+        loss = weighted_sum(graph, s2, upstream)
     backward(loss, graph)
 
-    for name in shared.names():
+    for name, _ in shared.items():
         ga = copy_a[name].grad
         gb = copy_b[name].grad
         assert gb is not None
@@ -150,6 +157,6 @@ def test_shared_weight_gradients_sum_over_stages():
 def test_derivative_param_count_is_order_independent():
     # one shared derivative network regardless of expansion depth
     spec = DerivativeSpec(in_channels=3, channels=4)
-    assert len(init_params(spec, 1)) == 4  # conv1/conv2, weight+bias each
+    assert len(init_params(spec, 1).tensors()) == 4  # conv1/conv2, weight+bias each
     weight = init_params(spec, 1)["derivative.conv1.weight"]
     assert weight.shape == (4, 6, 3, 3)  # stacked [state, input] pair on input

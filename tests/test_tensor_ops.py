@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import conv2d_backward_bruteforce, conv2d_bruteforce, rand_tensor
+from conftest import conv2d_backward_bruteforce, conv2d_bruteforce, rand_tensor, weighted_sum
 from taylor_restore.autodiff import (
     Graph,
     ShapeError,
@@ -15,11 +15,8 @@ from taylor_restore.autodiff import (
     concat_channels,
     conv2d,
     l1_loss,
-    mean_all,
-    mul,
     relu,
     scale,
-    sum_all,
 )
 from taylor_restore.autodiff import ops
 
@@ -40,11 +37,9 @@ def test_item_requires_single_element():
         Tensor([1.0, 2.0]).item()
 
 
-def test_constructors():
+def test_zeros_constructor():
     z = Tensor.zeros((2, 3))
     assert z.shape == (2, 3) and float(np.abs(z.data).max()) == 0.0
-    f = Tensor.full((4,), 1.5)
-    assert f.data.tolist() == [1.5] * 4
 
 
 def test_accumulate_grad_adds():
@@ -151,7 +146,7 @@ def test_conv2d_backward_matches_loop_oracle(case):
     with Graph() as graph:
         out = conv2d(x, w, b, pad=case["pad"], stride=case["stride"])
         upstream = rand_tensor(33, out.shape)
-        loss = sum_all(mul(out, upstream))  # d(loss)/d(out) = upstream
+        loss = weighted_sum(graph, out, upstream.data)  # d(loss)/d(out) = upstream
     backward(loss, graph)
     ref_x, ref_w, ref_b = conv2d_backward_bruteforce(
         x.data, w.data, upstream.data, case["pad"], case["stride"])
@@ -237,7 +232,7 @@ def test_conv2d_forward_is_deterministic():
 def test_relu_passes_nan_through():
     x = Tensor([np.nan, -1.0, 2.0])
     with Graph() as graph:
-        loss = sum_all(relu(x))
+        loss = weighted_sum(graph, relu(x))
     out = relu(x).data
     assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 2.0]
     backward(loss, graph)
@@ -247,36 +242,28 @@ def test_relu_passes_nan_through():
 def test_relu_values_and_subgradient_at_zero():
     x = Tensor([-1.0, 0.0, 2.0])
     with Graph() as graph:
-        loss = sum_all(relu(x))
+        loss = weighted_sum(graph, relu(x))
     assert relu(x).data.tolist() == [0.0, 0.0, 2.0]
     backward(loss, graph)
     assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
-def test_add_and_mul_backward():
+def test_add_backward():
     a = Tensor([1.0, -2.0])
     b = Tensor([3.0, 5.0])
     with Graph() as graph:
-        loss = sum_all(mul(add(a, b), b))  # d/da = b, d/db = a + 2b
+        loss = weighted_sum(graph, add(add(a, b), b), np.array([3.0, -0.5]))  # u·(a + 2b)
     backward(loss, graph)
-    assert a.grad.tolist() == [3.0, 5.0]
-    assert b.grad.tolist() == [7.0, 8.0]
-
-
-def test_square_via_shared_operand():
-    w = Tensor([3.0])
-    with Graph() as graph:
-        loss = sum_all(mul(w, w))
-    backward(loss, graph)
-    assert w.grad.tolist() == [6.0]
+    assert a.grad.tolist() == [3.0, -0.5]
+    assert b.grad.tolist() == [6.0, -1.0]
 
 
 def test_parameter_used_twice_accumulates():
     p = Tensor([2.0, 4.0])
     with Graph() as graph:
-        loss = sum_all(add(p, p))
+        loss = weighted_sum(graph, add(p, p), np.array([1.5, -1.0]))
     backward(loss, graph)
-    assert p.grad.tolist() == [2.0, 2.0]
+    assert p.grad.tolist() == [3.0, -2.0]
 
 
 def test_unused_parameter_keeps_none_gradient():
@@ -284,7 +271,7 @@ def test_unused_parameter_keeps_none_gradient():
     used = Tensor([1.0])
     unused = Tensor([5.0])
     with Graph() as graph:
-        loss = sum_all(mul(used, used))
+        loss = weighted_sum(graph, scale(used, 2.0))
     backward(loss, graph)
     assert used.grad is not None
     assert unused.grad is None
@@ -294,26 +281,17 @@ def test_scale_forward_and_backward():
     x = Tensor([2.0, -4.0])
     with Graph() as graph:
         y = scale(x, -0.5)
-        loss = sum_all(y)
+        loss = weighted_sum(graph, y)
     assert y.data.tolist() == [-1.0, 2.0]
     backward(loss, graph)
     assert x.grad.tolist() == [-0.5, -0.5]
 
 
-def test_mean_all_gradient_is_uniform():
-    x = rand_tensor(13, (2, 5))
-    with Graph() as graph:
-        loss = mean_all(x)
-    assert loss.item() == pytest.approx(float(x.data.mean()), abs=1e-15)
-    backward(loss, graph)
-    assert np.array_equal(x.grad, np.full((2, 5), 1.0 / 10.0))
-
-
 def test_add_shape_mismatch_reports_axis():
     with pytest.raises(ShapeError, match="axis 1"):
         add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
-    with pytest.raises(ShapeError):
-        mul(Tensor(np.zeros((2,))), Tensor(np.zeros((2, 1))))
+    with pytest.raises(ShapeError, match="rank differs"):
+        add(Tensor(np.zeros((2,))), Tensor(np.zeros((2, 1))))
 
 
 # --- channel concat ------------------------------------------------------------
@@ -330,11 +308,12 @@ def test_concat_slice_roundtrip():
 def test_concat_backward_splits_gradient():
     a = rand_tensor(16, (1, 2, 3, 3))
     b = rand_tensor(17, (1, 1, 3, 3))
+    upstream = rand_tensor(18, (1, 3, 3, 3)).data
     with Graph() as graph:
-        loss = sum_all(scale(concat_channels(a, b), 2.0))
+        loss = weighted_sum(graph, scale(concat_channels(a, b), 2.0), upstream)
     backward(loss, graph)
-    assert np.array_equal(a.grad, np.full((1, 2, 3, 3), 2.0))
-    assert np.array_equal(b.grad, np.full((1, 1, 3, 3), 2.0))
+    assert np.array_equal(a.grad, 2.0 * upstream[:, :2])
+    assert np.array_equal(b.grad, 2.0 * upstream[:, 2:])
 
 
 def test_concat_requires_rank_four():
@@ -394,7 +373,7 @@ def test_backward_is_linear_in_loss_scale():
         p.grad = None
         q.grad = None
         with Graph() as graph:
-            loss = scale(mean_all(mul(relu(p), q)), alpha)
+            loss = scale(l1_loss(relu(p), q), alpha)
         backward(loss, graph)
         return p.grad.copy(), q.grad.copy()
 
@@ -409,16 +388,16 @@ def test_backward_consumes_the_graph():
     b = Tensor([3.0, 5.0])
     with Graph() as graph:
         hidden = add(a, b)
-        loss = sum_all(mul(hidden, b))  # d/da = b, d/db = a + 2b
-    assert len(graph) == 3
+        loss = weighted_sum(graph, add(hidden, b), np.array([3.0, -0.5]))  # u·(a + 2b)
+    assert len(graph._records) == 3
     backward(loss, graph)
-    assert len(graph) == 0
+    assert graph._records == []
     assert hidden.grad is None and loss.grad is None
-    assert a.grad.tolist() == [3.0, 5.0]
-    assert b.grad.tolist() == [7.0, 8.0]
+    assert a.grad.tolist() == [3.0, -0.5]
+    assert b.grad.tolist() == [6.0, -1.0]
     backward(loss, graph)  # nothing left to replay: the leaves keep their grads
-    assert a.grad.tolist() == [3.0, 5.0]
-    assert b.grad.tolist() == [7.0, 8.0]
+    assert a.grad.tolist() == [3.0, -0.5]
+    assert b.grad.tolist() == [6.0, -1.0]
 
 
 def test_first_gradient_is_a_copy():
@@ -426,20 +405,20 @@ def test_first_gradient_is_a_copy():
     a = Tensor([3.0])
     b = Tensor([2.0])
     with Graph() as graph:
-        square = mul(a, a)  # recorded first, so replayed after add
-        loss = sum_all(add(square, add(a, b)))
+        doubled = scale(a, 2.0)  # recorded first, so replayed after add
+        loss = weighted_sum(graph, add(doubled, add(a, b)))
     backward(loss, graph)
-    assert a.grad.tolist() == [7.0] and b.grad.tolist() == [1.0]
+    assert a.grad.tolist() == [3.0] and b.grad.tolist() == [1.0]
 
 
 def test_gradients_accumulate_across_graphs():
     # gradients accumulate until the caller resets them to None
     w = Tensor([3.0])
     with Graph() as graph:
-        loss = sum_all(mul(w, w))
+        loss = weighted_sum(graph, scale(w, 2.0), np.array([3.0]))
     backward(loss, graph)
     with Graph() as graph:
-        loss = sum_all(mul(w, w))
+        loss = weighted_sum(graph, scale(w, 2.0), np.array([3.0]))
     backward(loss, graph)
     assert w.grad.tolist() == [12.0]
 

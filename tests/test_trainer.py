@@ -223,9 +223,9 @@ def test_mapping_init_is_order_independent():
     # net's starting point (independent init streams per network)
     plain = Model.init(TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=0), seed=11).params
     composed = Model.init(TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=3), seed=11).params
-    assert not any(name.startswith("derivative.") for name in plain.names())
-    assert any(name.startswith("derivative.") for name in composed.names())
-    for name in plain.names():
+    assert not any(name.startswith("derivative.") for name, _ in plain.items())
+    assert any(name.startswith("derivative.") for name, _ in composed.items())
+    for name, _ in plain.items():
         assert composed[name].data.tobytes() == plain[name].data.tobytes()
 
 
@@ -461,6 +461,6 @@ def test_zero_weighted_series_trains_like_plain_mapping(tmp_path):
         backward(loss, graph)
         adam_step(plain_params, plain_state, lr=1e-3)
 
-        for name in plain_params.names():
+        for name, _ in plain_params.items():
             assert np.array_equal(composed_params[name].data,
                                   plain_params[name].data), name
