@@ -21,6 +21,7 @@ from .degrade import corpus_clean_seed, generate_clean, make_corpus
 from .errors import ConfigError, DivergenceError, FormatError
 from .metrics import evaluate, format_metric
 from .runconfig import (
+    _parse_u64,
     composer_config_from,
     degradation_spec_from,
     derivative_spec_from,
@@ -41,10 +42,10 @@ EXIT_GRADCHECK = 5
 
 
 def _parse_u64_arg(text: str) -> int:
-    value = int(text, 10)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError(f"seed {value} outside [0, 2**64)")
-    return value
+    try:
+        return _parse_u64(text)
+    except ValueError:  # text that is no integer fails int() again: argparse's "invalid value"
+        raise argparse.ArgumentTypeError(f"seed {int(text, 10)} outside [0, 2**64)") from None
 
 
 def _parse_set_arg(text: str) -> tuple[str, str]:
@@ -115,6 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the dedicated flags that a subcommand may have, and the config key that each one sets
+FLAG_KEYS = {"kind": "data.kind", "count": "data.count", "data": "paths.data",
+             "ckpt": "paths.ckpt", "resume": "paths.resume"}
+
+
 def _load_config(args: argparse.Namespace) -> dict[str, object]:
     file_values = None
     if args.config is not None:
@@ -129,16 +135,9 @@ def _load_config(args: argparse.Namespace) -> dict[str, object]:
     if args.seed is not None:
         overrides.append(("data.seed", str(args.seed)))
         overrides.append(("train.seed", str(args.seed)))
-    if getattr(args, "kind", None):
-        overrides.append(("data.kind", args.kind))
-    if getattr(args, "count", None) is not None:
-        overrides.append(("data.count", str(args.count)))
-    if getattr(args, "data", None) is not None:
-        overrides.append(("paths.data", str(args.data)))
-    if getattr(args, "ckpt", None) is not None:
-        overrides.append(("paths.ckpt", str(args.ckpt)))
-    if getattr(args, "resume", None) is not None:
-        overrides.append(("paths.resume", str(args.resume)))
+    for flag, key in FLAG_KEYS.items():
+        if (value := getattr(args, flag, None)) is not None:
+            overrides.append((key, str(value)))
     return effective_config(file_values, overrides)
 
 
@@ -181,21 +180,20 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _train(cfg: dict[str, object], data_dir: Path, out_dir: Path,
+           resume: str | None = None) -> Path:
+    """``trainer.train`` on the model and training settings of ``cfg``."""
+    return train(data_dir, mapping_spec_from(cfg), derivative_spec_from(cfg),
+                 composer_config_from(cfg), train_config_from(cfg), out_dir, resume_from=resume)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = _require_out(args)
     data_dir = _require_path(cfg, "paths.data", "--data")
     resume = cfg["paths.resume"] or None
     write_echo(cfg, out_dir)
-    final = train(
-        data_dir,
-        mapping_spec_from(cfg),
-        derivative_spec_from(cfg),
-        composer_config_from(cfg),
-        train_config_from(cfg),
-        out_dir,
-        resume_from=resume,
-    )
+    final = _train(cfg, data_dir, out_dir, resume)
     print(f"trained {cfg['train.epochs']} epochs -> {_shown(final)}")
     return EXIT_OK
 
@@ -227,23 +225,16 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _run_one_order(cfg: dict[str, object], order: int,
-                   data_dir: str, out_dir: str) -> tuple[int, float, float]:
-    """Train + evaluate one order; importable so process pools can run it."""
+                   data_dir: Path, out_dir: Path) -> tuple[float, float]:
+    """Train + evaluate one order, to its mean PSNR and SSIM; importable so process pools can
+    run it."""
     cfg = {**cfg, "composer.order": order}
-    run_dir = Path(out_dir) / f"order_{order}"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = out_dir / f"order_{order}"
     write_echo(cfg, run_dir)
-    final = train(
-        Path(data_dir),
-        mapping_spec_from(cfg),
-        derivative_spec_from(cfg),
-        composer_config_from(cfg),
-        train_config_from(cfg),
-        run_dir,
-    )
-    report = evaluate(load_checkpoint(final), Path(data_dir))
+    final = _train(cfg, data_dir, run_dir)
+    report = evaluate(load_checkpoint(final), data_dir)
     report.write_tsv(run_dir / "metrics.tsv")
-    return order, report.mean_psnr, report.mean_ssim
+    return report.mean_psnr, report.mean_ssim
 
 
 def cmd_sweep_order(args: argparse.Namespace) -> int:
@@ -262,23 +253,17 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
     if jobs == 1:
         for order in orders:
             try:
-                _, mean_psnr, mean_ssim = _run_one_order(
-                    cfg, order, str(data_dir), str(out_dir)
-                )
-                results[order] = (mean_psnr, mean_ssim)
+                results[order] = _run_one_order(cfg, order, data_dir, out_dir)
             except Exception as exc:  # mark and continue with other orders
                 failures[order] = str(exc)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_one_order, cfg, order, str(data_dir), str(out_dir)): order
-                for order in orders
-            }
+            futures = {pool.submit(_run_one_order, cfg, order, data_dir, out_dir): order
+                       for order in orders}
             for future in concurrent.futures.as_completed(futures):
                 order = futures[future]
                 try:
-                    _, mean_psnr, mean_ssim = future.result()
-                    results[order] = (mean_psnr, mean_ssim)
+                    results[order] = future.result()
                 except Exception as exc:
                     failures[order] = str(exc)
 

@@ -109,7 +109,3 @@ def framework_loss_terms(
     total = add(loss_output, scale(loss_coarse, cfg.lam))
     return total, loss_output, loss_coarse
 
-
-def framework_loss(trace: ComposerTrace, x: Tensor, cfg: ComposerConfig) -> Tensor:
-    total, _, _ = framework_loss_terms(trace, x, cfg)
-    return total

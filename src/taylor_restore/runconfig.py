@@ -5,7 +5,8 @@ with ``#`` are ignored. Every key must be one of the documented schema keys
 below; unknown keys are rejected. Values are parsed per key type (integer,
 float, string choice, comma-separated integer list, path string).
 
-Precedence, lowest to highest: built-in defaults, config file, ``--set``
+Precedence, lowest to highest: defaults (each key takes the default of the
+dataclass field that it fills), config file, ``--set``
 overrides in command-line order, dedicated CLI flags (e.g. ``--seed``,
 ``--kind``). Every CLI flag overrides its config key. The fully resolved
 configuration is echoed to ``config.echo`` in the output directory as
@@ -14,7 +15,7 @@ sorted ``key = value`` lines, in UTF-8 like the config file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -23,11 +24,7 @@ from .composer import G0_SOURCES, VARIANTS, ComposerConfig
 from .degrade import KERNEL_KINDS, KINDS, BlurParams, DegradationSpec, RainParams
 from .errors import ConfigError
 from .networks import DerivativeSpec, MappingSpec
-from .trainer import TrainConfig, model_specs
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
+from .trainer import MODEL_METADATA, Model, TrainConfig, model_specs
 
 
 def _parse_u64(text: str) -> int:
@@ -35,10 +32,6 @@ def _parse_u64(text: str) -> int:
     if not (0 <= value < 2**64):
         raise ValueError(f"{value} outside [0, 2**64)")
     return value
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
 
 
 def _parse_path(text: str) -> str:
@@ -71,59 +64,74 @@ def _fmt_default(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Field:
+    """A config key: how its text parses, and the dataclass field that it fills and whose
+    default it takes. The field is named after the key's last part unless ``name`` says
+    otherwise; a model key names ``Model``, whose ``MODEL_METADATA`` entry holds its spec and
+    field. A key that only the CLI reads has no owner and spells its own default."""
+    key: str
     parse: Callable[[str], object]
-    default: object
-    help: str
+    owner: type | None = None
+    name: str = ""
+    default: object = None
+
+    def __post_init__(self):
+        self.name = self.name or self.key.rpartition(".")[2]
+        if self.owner is Model:
+            part, self.name, _ = MODEL_METADATA[self.key]
+            self.owner = _MODEL_PARTS[part]
+        if self.owner is not None:
+            (self.default,) = [f.default for f in fields(self.owner) if f.name == self.name]
 
 
-SCHEMA: dict[str, _Field] = {
+_MODEL_PARTS = {"mapping": MappingSpec, "derivative": DerivativeSpec, "composer": ComposerConfig}
+
+SCHEMA: dict[str, _Field] = {row.key: row for row in (
     # degradation synthesis
-    "data.kind": _Field(_choice(*KINDS), "rain", "degradation family"),
-    "data.count": _Field(_parse_int, 16, "number of samples to synthesize"),
-    "data.image_size": _Field(_parse_int, 64, "clean image height and width"),
-    "data.seed": _Field(_parse_u64, 0, "corpus seed (per-sample seeds derive from it)"),
-    "data.rain.count_min": _Field(_parse_int, 4, "min streaks per image"),
-    "data.rain.count_max": _Field(_parse_int, 10, "max streaks per image"),
-    "data.rain.length_min": _Field(_parse_float, 8.0, "min streak length, px"),
-    "data.rain.length_max": _Field(_parse_float, 20.0, "max streak length, px"),
-    "data.rain.angle_min": _Field(_parse_float, 70.0, "min streak angle, degrees"),
-    "data.rain.angle_max": _Field(_parse_float, 110.0, "max streak angle, degrees"),
-    "data.rain.intensity_min": _Field(_parse_float, 0.15, "min streak intensity"),
-    "data.rain.intensity_max": _Field(_parse_float, 0.6, "max streak intensity"),
-    "data.rain.streak_sigma": _Field(_parse_float, 0.7, "streak cross-section sigma, px"),
-    "data.blur.kernel": _Field(_choice(*KERNEL_KINDS), "gaussian", "blur kernel family"),
-    "data.blur.kernel_size": _Field(_parse_int, 9, "kernel size (odd)"),
-    "data.blur.sigma": _Field(_parse_float, 1.5, "gaussian kernel sigma"),
-    "data.blur.motion_length": _Field(_parse_float, 7.0, "motion kernel length, px"),
-    "data.blur.motion_angle": _Field(_parse_float, 0.0, "motion kernel angle, degrees"),
-    "data.blur.noise_sigma": _Field(_parse_float, 0.01, "additive gaussian noise sigma"),
-    # model
-    "model.in_channels": _Field(_parse_int, 3, "image channels"),
-    "model.mapping_channels": _Field(_parse_int, 32, "mapping net width"),
-    "model.mapping_blocks": _Field(_parse_int, 3, "mapping net residual blocks"),
-    "model.derivative_channels": _Field(_parse_int, 32, "derivative net width"),
-    "model.kernel_size": _Field(_parse_int, 3, "conv kernel size (odd)"),
-    # composer
-    "composer.order": _Field(_parse_int, 3, "series truncation order n"),
-    "composer.lambda": _Field(_parse_float, 1.0, "coarse-term loss weight"),
-    "composer.variant": _Field(_choice(*VARIANTS), "with_k_residual", "recurrence variant"),
-    "composer.g0": _Field(_choice(*G0_SOURCES), "f_out", "seed term for the recurrence"),
+    _Field("data.kind", _choice(*KINDS), DegradationSpec),
+    _Field("data.count", int, default=16),
+    _Field("data.image_size", int, default=64),
+    _Field("data.seed", _parse_u64, DegradationSpec),
+    _Field("data.rain.count_min", int, RainParams),
+    _Field("data.rain.count_max", int, RainParams),
+    _Field("data.rain.length_min", float, RainParams),
+    _Field("data.rain.length_max", float, RainParams),
+    _Field("data.rain.angle_min", float, RainParams),
+    _Field("data.rain.angle_max", float, RainParams),
+    _Field("data.rain.intensity_min", float, RainParams),
+    _Field("data.rain.intensity_max", float, RainParams),
+    _Field("data.rain.streak_sigma", float, RainParams),
+    _Field("data.blur.kernel", _choice(*KERNEL_KINDS), BlurParams, "kernel_kind"),
+    _Field("data.blur.kernel_size", int, BlurParams),
+    _Field("data.blur.sigma", float, BlurParams),
+    _Field("data.blur.motion_length", float, BlurParams),
+    _Field("data.blur.motion_angle", float, BlurParams),
+    _Field("data.blur.noise_sigma", float, BlurParams),
+    # model and composer
+    _Field("model.in_channels", int, Model),
+    _Field("model.mapping_channels", int, Model),
+    _Field("model.mapping_blocks", int, Model),
+    _Field("model.derivative_channels", int, Model),
+    _Field("model.kernel_size", int, Model),
+    _Field("composer.order", int, Model),
+    _Field("composer.lambda", float, Model),
+    _Field("composer.variant", _choice(*VARIANTS), Model),
+    _Field("composer.g0", _choice(*G0_SOURCES), Model),
     # training
-    "train.patch_size": _Field(_parse_int, 100, "square crop size"),
-    "train.batch_size": _Field(_parse_int, 4, "patches per step"),
-    "train.lr": _Field(_parse_float, 1e-3, "initial learning rate"),
-    "train.decay_epochs": _Field(_parse_int_list, (30, 50, 80), "epochs at which lr decays"),
-    "train.decay_factor": _Field(_parse_float, 0.2, "multiplicative lr decay"),
-    "train.epochs": _Field(_parse_int, 100, "total epochs"),
-    "train.seed": _Field(_parse_u64, 0, "run seed (init and sampling streams derive from it)"),
-    "train.checkpoint_every": _Field(_parse_int, 10, "checkpoint cadence in epochs (0: final only)"),
+    _Field("train.patch_size", int, TrainConfig),
+    _Field("train.batch_size", int, TrainConfig),
+    _Field("train.lr", float, TrainConfig, "lr0"),
+    _Field("train.decay_epochs", _parse_int_list, TrainConfig),
+    _Field("train.decay_factor", float, TrainConfig),
+    _Field("train.epochs", int, TrainConfig),
+    _Field("train.seed", _parse_u64, TrainConfig),
+    _Field("train.checkpoint_every", int, TrainConfig),
     # paths
-    "paths.data": _Field(_parse_path, "", "corpus directory (train/eval/sweep input)"),
-    "paths.ckpt": _Field(_parse_path, "", "checkpoint file (eval input)"),
-    "paths.resume": _Field(_parse_path, "", "checkpoint to resume training from"),
-}
+    _Field("paths.data", _parse_path, default=""),
+    _Field("paths.ckpt", _parse_path, default=""),
+    _Field("paths.resume", _parse_path, default=""),
+)}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -186,30 +194,15 @@ def _wrap(build: Callable[[], object], what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
+def _build(owner: type, cfg: dict[str, object], **parts) -> object:
+    """An ``owner`` from the values of the keys that fill its fields, plus ``parts``."""
+    return owner(**{row.name: cfg[key] for key, row in SCHEMA.items() if row.owner is owner},
+                 **parts)
+
+
 def degradation_spec_from(cfg: dict[str, object]) -> DegradationSpec:
-    def build() -> DegradationSpec:
-        rain = RainParams(
-            count_min=cfg["data.rain.count_min"],
-            count_max=cfg["data.rain.count_max"],
-            length_min=cfg["data.rain.length_min"],
-            length_max=cfg["data.rain.length_max"],
-            angle_min=cfg["data.rain.angle_min"],
-            angle_max=cfg["data.rain.angle_max"],
-            intensity_min=cfg["data.rain.intensity_min"],
-            intensity_max=cfg["data.rain.intensity_max"],
-            streak_sigma=cfg["data.rain.streak_sigma"],
-        )
-        blur = BlurParams(
-            kernel_kind=cfg["data.blur.kernel"],
-            kernel_size=cfg["data.blur.kernel_size"],
-            sigma=cfg["data.blur.sigma"],
-            motion_length=cfg["data.blur.motion_length"],
-            motion_angle=cfg["data.blur.motion_angle"],
-            noise_sigma=cfg["data.blur.noise_sigma"],
-        )
-        return DegradationSpec(kind=cfg["data.kind"], seed=cfg["data.seed"],
-                               rain=rain, blur=blur)
-    return _wrap(build, "degradation settings")
+    return _wrap(lambda: _build(DegradationSpec, cfg, rain=_build(RainParams, cfg),
+                                blur=_build(BlurParams, cfg)), "degradation settings")
 
 
 def mapping_spec_from(cfg: dict[str, object]) -> MappingSpec:
@@ -225,20 +218,4 @@ def composer_config_from(cfg: dict[str, object]) -> ComposerConfig:
 
 
 def train_config_from(cfg: dict[str, object]) -> TrainConfig:
-    def build() -> TrainConfig:
-        return TrainConfig(
-            patch_size=cfg["train.patch_size"],
-            batch_size=cfg["train.batch_size"],
-            lr0=cfg["train.lr"],
-            decay_epochs=cfg["train.decay_epochs"],
-            decay_factor=cfg["train.decay_factor"],
-            epochs=cfg["train.epochs"],
-            seed=cfg["train.seed"],
-            checkpoint_every=cfg["train.checkpoint_every"],
-        )
-    try:
-        return build()
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid training settings: {exc}") from exc
+    return _wrap(lambda: _build(TrainConfig, cfg), "training settings")

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor, add, check_gradients, concat_channels, conv2d, l1_loss, relu, scale
-from .composer import ComposerConfig, VARIANTS, framework_loss
+from .composer import ComposerConfig, VARIANTS, framework_loss_terms
 from .networks import DerivativeSpec, MappingSpec
 from .prng import SplitMix64, derive_stream
 from .trainer import Model
@@ -87,7 +87,7 @@ def build_tiny_model(variant: str, seed: int = 7):
     x = _rand(data_rng, (1, 3, TINY_IMAGE, TINY_IMAGE), 0.0, 1.0)
 
     def loss_fn() -> Tensor:
-        return framework_loss(model.forward(y), x, model.composer)
+        return framework_loss_terms(model.forward(y), x, model.composer)[0]
 
     return loss_fn, model.params.tensors()
 

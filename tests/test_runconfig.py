@@ -3,7 +3,10 @@
 
 import pytest
 
+from taylor_restore.composer import ComposerConfig
+from taylor_restore.degrade import BlurParams, DegradationSpec, RainParams
 from taylor_restore.errors import ConfigError
+from taylor_restore.networks import DerivativeSpec, MappingSpec
 from taylor_restore.runconfig import (
     SCHEMA,
     composer_config_from,
@@ -16,6 +19,7 @@ from taylor_restore.runconfig import (
     train_config_from,
     write_echo,
 )
+from taylor_restore.trainer import AdamState, Model, TrainConfig, make_train_checkpoint
 
 # one parseable non-default value per key, used to exercise precedence
 ALTERNATIVES = {
@@ -23,7 +27,51 @@ ALTERNATIVES = {
     "data.blur.kernel": "box",
     "composer.variant": "concat_only",
     "composer.g0": "y",
+    "model.kernel_size": "5",  # kernels are odd
 }
+
+# echo_text(effective_config()), byte for byte
+DEFAULT_ECHO = """\
+composer.g0 = f_out
+composer.lambda = 1.0
+composer.order = 3
+composer.variant = with_k_residual
+data.blur.kernel = gaussian
+data.blur.kernel_size = 9
+data.blur.motion_angle = 0.0
+data.blur.motion_length = 7.0
+data.blur.noise_sigma = 0.01
+data.blur.sigma = 1.5
+data.count = 16
+data.image_size = 64
+data.kind = rain
+data.rain.angle_max = 110.0
+data.rain.angle_min = 70.0
+data.rain.count_max = 10
+data.rain.count_min = 4
+data.rain.intensity_max = 0.6
+data.rain.intensity_min = 0.15
+data.rain.length_max = 20.0
+data.rain.length_min = 8.0
+data.rain.streak_sigma = 0.7
+data.seed = 0
+model.derivative_channels = 32
+model.in_channels = 3
+model.kernel_size = 3
+model.mapping_blocks = 3
+model.mapping_channels = 32
+paths.ckpt = 
+paths.data = 
+paths.resume = 
+train.batch_size = 4
+train.checkpoint_every = 10
+train.decay_epochs = 30,50,80
+train.decay_factor = 0.2
+train.epochs = 100
+train.lr = 0.001
+train.patch_size = 100
+train.seed = 0
+"""
 
 
 def fmt(value) -> str:
@@ -45,6 +93,18 @@ def alternative_for(key) -> str:
     if isinstance(default, int):
         return str(default + 1)
     return "alternate_path"  # path strings default to ""
+
+
+def built_objects(cfg) -> dict[type, object]:
+    """Every object that the config builders make, by type."""
+    spec = degradation_spec_from(cfg)
+    return {DegradationSpec: spec, RainParams: spec.rain, BlurParams: spec.blur,
+            MappingSpec: mapping_spec_from(cfg), DerivativeSpec: derivative_spec_from(cfg),
+            ComposerConfig: composer_config_from(cfg), TrainConfig: train_config_from(cfg)}
+
+
+def test_default_echo_is_unchanged():
+    assert echo_text(effective_config()) == DEFAULT_ECHO
 
 
 def test_defaults_are_complete_and_typed():
@@ -163,3 +223,37 @@ def test_builders_wrap_validation_as_config_errors():
     with pytest.raises(ConfigError, match="degradation"):
         degradation_spec_from(effective_config(
             None, [("data.rain.count_min", "5"), ("data.rain.count_max", "2")]))
+
+
+OWNED = sorted(key for key, row in SCHEMA.items() if row.owner is not None)
+
+
+def test_only_the_cli_keys_have_no_owner():
+    assert sorted(set(SCHEMA) - set(OWNED)) == [
+        "data.count", "data.image_size", "paths.ckpt", "paths.data", "paths.resume"]
+
+
+@pytest.mark.parametrize("key", OWNED)
+def test_each_owned_key_sets_its_field_and_no_other(key):
+    row = SCHEMA[key]
+    parsed = row.parse(alternative_for(key))
+    objects = built_objects(effective_config(None, [(key, alternative_for(key))]))
+    assert getattr(objects[row.owner], row.name) == parsed
+    for other in OWNED:
+        if other != key:
+            field = SCHEMA[other]
+            assert getattr(objects[field.owner], field.name) == field.default, other
+
+
+def test_default_model_is_the_same_from_config_and_from_an_older_checkpoint():
+    # a checkpoint written before composer.variant and composer.g0 were recorded takes the
+    # same composer as a config that leaves them unset
+    cfg = effective_config(None, [("model.mapping_channels", "2"), ("model.mapping_blocks", "1"),
+                                  ("model.derivative_channels", "2")])
+    model = Model.init(mapping_spec_from(cfg), derivative_spec_from(cfg),
+                       composer_config_from(cfg), seed=0)
+    checkpoint = make_train_checkpoint(model, AdamState.for_params(model.params), 1, 0)
+    del checkpoint.metadata["composer.variant"], checkpoint.metadata["composer.g0"]
+    loaded = Model.from_checkpoint(checkpoint)
+    assert loaded.composer == composer_config_from(effective_config())
+    assert (loaded.mapping, loaded.derivative) == (model.mapping, model.derivative)
