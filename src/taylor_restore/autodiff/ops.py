@@ -15,7 +15,10 @@ Conventions, fixed once here:
 
 Each op computes its output eagerly and, when a Graph is active, records a
 closure that turns the output's gradient into gradient contributions for the
-inputs (added via Tensor.accumulate_grad, so repeated use of one tensor sums).
+inputs (added via accumulate_grad, so repeated use of one tensor sums). A
+closure holds its inputs' gradient sinks (Tensor.sink), never the tensors, and
+saves only what its adjoint reads: conv2d its zero-padded input grid, relu its
+mask and l1_loss its sign. So the tape keeps no op output alive.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     graph = active_graph()
     if graph is not None:
+        a_sink, b_sink = a.sink, b.sink
         def backward_fn(g: np.ndarray) -> None:
-            a.accumulate_grad(g)
-            b.accumulate_grad(g)
+            a_sink.accumulate_grad(g)
+            b_sink.accumulate_grad(g)
         graph.record("add", out, backward_fn)
     return out
 
@@ -51,8 +55,9 @@ def scale(a: Tensor, factor: float) -> Tensor:
     out = Tensor(a.data * factor)
     graph = active_graph()
     if graph is not None:
+        a_sink = a.sink
         def backward_fn(g: np.ndarray) -> None:
-            a.accumulate_grad(g * factor)
+            a_sink.accumulate_grad(g * factor)
         graph.record("scale", out, backward_fn)
     return out
 
@@ -62,8 +67,9 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
     graph = active_graph()
     if graph is not None:
+        x_sink = x.sink
         def backward_fn(g: np.ndarray) -> None:
-            x.accumulate_grad(g * mask)
+            x_sink.accumulate_grad(g * mask)
         graph.record("relu", out, backward_fn)
     return out
 
@@ -81,9 +87,10 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.concatenate((a.data, b.data), axis=1))
     graph = active_graph()
     if graph is not None:
+        a_sink, b_sink = a.sink, b.sink
         def backward_fn(g: np.ndarray) -> None:
-            a.accumulate_grad(g[:, :split])
-            b.accumulate_grad(g[:, split:])
+            a_sink.accumulate_grad(g[:, :split])
+            b_sink.accumulate_grad(g[:, split:])
         graph.record("concat_channels", out, backward_fn)
     return out
 
@@ -97,10 +104,11 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     if graph is not None:
         sign = np.sign(diff)
         inv = 1.0 / diff.size
+        pred_sink, target_sink = pred.sink, target.sink
         def backward_fn(g: np.ndarray) -> None:
             contribution = (g * inv) * sign
-            pred.accumulate_grad(contribution)
-            target.accumulate_grad(-contribution)
+            pred_sink.accumulate_grad(contribution)
+            target_sink.accumulate_grad(-contribution)
         graph.record("l1_loss", out, backward_fn)
     return out
 
@@ -233,8 +241,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
 
     graph = active_graph()
     if graph is not None:
+        x_sink, weight_sink, bias_sink = x.sink, weight.sink, bias.sink
         def backward_fn(g: np.ndarray) -> None:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            bias_sink.accumulate_grad(g.sum(axis=(0, 2, 3)))
             # output column r sits at g_grid column last + r; every other column is zero
             g_grid = np.zeros((cout, cols.shape[1]))
             valid(g_grid[:, last:])[...] = g.transpose(1, 0, 2, 3)
@@ -252,8 +261,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
                                 for di in range(1 if thin_out else kh)])
                 d_w = d_w.reshape(kh, kw, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1)
             del g_grid, g_span, g_stack  # x's gradient below reuses their blocks
-            weight.accumulate_grad(d_w)
+            weight_sink.accumulate_grad(d_w)
             d_x = pixels(d_cols)[:, :, pad:pad + h, pad:pad + w]
-            x.accumulate_grad(d_x.transpose(1, 0, 2, 3))
+            x_sink.accumulate_grad(d_x.transpose(1, 0, 2, 3))
         graph.record("conv2d", out, backward_fn)
     return out

@@ -5,8 +5,9 @@ Subcommands: synthesize, train, eval, gradcheck, sweep-order. Shared flags:
 train.seed), --out DIR, --set KEY=VALUE (repeatable, overrides any config
 key). The resolved configuration is echoed to <out>/config.echo.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 training aborted on non-finite loss, 5 gradient check failure.
+Exit codes: 0 success, 2 configuration error (a run that runs out of memory
+included), 3 I/O or file-format error, 4 training aborted on non-finite loss,
+5 gradient check failure.
 """
 
 from __future__ import annotations
@@ -313,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

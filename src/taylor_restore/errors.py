@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these to its documented exit codes: ConfigError -> 2, I/O and
-format problems (OSError, FormatError) -> 3, DivergenceError -> 4. Gradient
+format problems (OSError, FormatError) -> 3, DivergenceError -> 4. A
+MemoryError (a model or batch too large for the machine) -> 2 as well. Gradient
 check failure is signalled by the check's result, not an exception.
 """
 

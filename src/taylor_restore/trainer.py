@@ -182,9 +182,10 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
 def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: int,
                        rng: SplitMix64) -> tuple[Tensor, Tensor]:
     """(degraded, clean) batch of co-located random crops, (B, C, p, p)."""
-    degraded_patches = []
-    clean_patches = []
-    for _ in range(batch_size):
+    channels = corpus[0].clean.shape[0]
+    degraded = np.empty((batch_size, channels, patch_size, patch_size))
+    clean = np.empty_like(degraded)
+    for i in range(batch_size):
         image = corpus[rng.randint(len(corpus))]
         _, height, width = image.clean.shape
         if height < patch_size or width < patch_size:
@@ -195,9 +196,9 @@ def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: i
         top = rng.randint(height - patch_size + 1)
         left = rng.randint(width - patch_size + 1)
         window = (slice(None), slice(top, top + patch_size), slice(left, left + patch_size))
-        degraded_patches.append(image.degraded[window])
-        clean_patches.append(image.clean[window])
-    return Tensor(np.stack(degraded_patches)), Tensor(np.stack(clean_patches))
+        degraded[i] = image.degraded[window]
+        clean[i] = image.clean[window]
+    return Tensor(degraded), Tensor(clean)
 
 
 # Checkpoint metadata and config keys describing a model: key -> (part, field, parser).

@@ -4,6 +4,7 @@ exit codes, config precedence from flags, and byte-stable reruns."""
 import concurrent.futures
 import importlib
 import os
+import resource
 import shutil
 import struct
 import subprocess
@@ -337,6 +338,36 @@ def test_train_divergence_exit_code(tmp_path, capsys):
                          extra=["--set", "train.lr=1e80"]))
     assert rc == 4
     assert "diverged: non-finite loss" in capsys.readouterr().err
+
+
+# The address space of an out-of-memory child: ample for a tiny run, far below what its
+# oversized model or batch asks for, so the machine is never asked for that memory.
+CHILD_ADDRESS_SPACE = 3 << 30
+
+
+def can_cap_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    return hard == resource.RLIM_INFINITY or hard >= CHILD_ADDRESS_SPACE
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.skipif(not can_cap_address_space(), reason="cannot cap a child's address space")
+@pytest.mark.parametrize("setting", ["model.mapping_channels=100000",
+                                     "train.batch_size=1000000000"])
+def test_out_of_memory_is_config_error(tmp_path, setting):
+    """A model or batch too large to allocate exits 2 with one line, not a traceback."""
+    data = synthesize(tmp_path / "data")
+    proc = subprocess.run(
+        [sys.executable, "-m", "taylor_restore",
+         *train_args(data, tmp_path / "run", extra=["--set", setting])],
+        capture_output=True, text=True, env=child_env(), preexec_fn=cap_address_space,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_train_resume_flag(tmp_path):

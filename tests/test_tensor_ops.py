@@ -1,6 +1,8 @@
 """Differentiable array operations: forward values against loop oracles and
 hand-worked examples, gradients against hand-derived closed forms."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -438,3 +440,72 @@ def test_gradient_paths_are_deterministic():
         return (x.grad.tobytes(), w.grad.tobytes(), b.grad.tobytes())
 
     assert run() == run()
+
+
+# --- tape ownership ------------------------------------------------------------
+
+def every_op_forward(leaves, keep):
+    """l1(concat(conv(relu(conv(x))) + x, scale(x)), target) on a fresh Graph; every
+    intermediate passes through keep. Returns (loss, graph) and no other intermediate."""
+    x, w1, b1, w2, b2, target = leaves
+    with Graph() as graph:
+        h = keep(conv2d(x, w1, b1, pad=1))
+        h = keep(relu(h))
+        h = keep(conv2d(h, w2, b2, pad=1))
+        h = keep(add(h, x))
+        h = keep(concat_channels(h, keep(scale(x, 0.5))))
+        loss = l1_loss(h, target)
+    return loss, graph
+
+
+def ownership_leaves():
+    return [rand_tensor(40, (2, 2, 5, 6)), rand_tensor(41, (3, 2, 3, 3)), rand_tensor(42, (3,)),
+            rand_tensor(43, (2, 3, 3, 3)), rand_tensor(44, (2,)), rand_tensor(45, (2, 4, 5, 6))]
+
+
+def test_intermediates_die_with_their_callers():
+    # the tape keeps grad slots and what each adjoint reads (the conv grids, relu mask, l1
+    # sign), so once the caller drops an op output, its data is freed before backward
+    leaves = ownership_leaves()
+    refs = []
+
+    def track(t):
+        refs.append(weakref.ref(t.data))
+        return t
+
+    loss, graph = every_op_forward(leaves, track)
+    assert len(refs) == 6 and all(ref() is None for ref in refs)
+    backward(loss, graph)
+    dropped = [t.grad.tobytes() for t in leaves]
+
+    for t in leaves:
+        t.grad = None
+    kept = []
+    loss, graph = every_op_forward(leaves, lambda t: kept.append(t) or t)
+    backward(loss, graph)
+    assert [t.grad.tobytes() for t in leaves] == dropped
+    assert all(t.grad is None for t in kept)  # only leaves carry .grad
+
+
+def test_no_record_holds_an_op_output():
+    loss, graph = every_op_forward(ownership_leaves(), lambda t: t)
+    assert len(graph._records) == 7
+    for name, *held in graph._records:
+        cells = [cell.cell_contents for cell in held[-1].__closure__ or ()]
+        # a closure may hold leaves (the weights), never a tensor an op produced
+        assert not any(isinstance(item, Tensor) for item in held), name
+        assert not any(isinstance(c, Tensor) and c.slot is not None for c in cells), name
+    backward(loss, graph)
+    assert graph._records == []
+
+
+def test_a_record_closing_over_an_op_output_reaches_its_slot():
+    # weighted_sum's closure holds scale's output and calls its accumulate_grad, which
+    # feeds the output's slot, so scale's own record still receives that gradient
+    x = Tensor([1.0, -2.0])
+    with Graph() as graph:
+        y = scale(x, 3.0)
+        loss = weighted_sum(graph, y, np.array([0.5, 2.0]))
+    backward(loss, graph)
+    assert x.grad.tolist() == [1.5, 6.0]
+    assert y.grad is None and y.slot.grad is None
