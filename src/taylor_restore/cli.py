@@ -57,6 +57,8 @@ def _parse_set_arg(text: str) -> tuple[str, str]:
 
 
 def _parse_orders_arg(text: str) -> list[int]:
+    """Orders as ``LO..HI`` or a comma list; an order listed twice would train twice into one
+    directory."""
     text = text.strip()
     try:
         if ".." in text:
@@ -65,7 +67,10 @@ def _parse_orders_arg(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError("empty range")
             return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+        orders = [int(part) for part in text.split(",")]
+        if len(set(orders)) != len(orders):
+            raise ValueError("an order is listed twice")
+        return orders
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad orders {text!r}: {exc}") from exc
 

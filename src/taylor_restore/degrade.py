@@ -14,20 +14,21 @@ fixed documented order: center x, center y, length, angle, intensity.
 Angles are degrees; 0 points along +x (columns), 90 along +y (rows).
 
 A corpus directory holds clean_%06d.ppm / degraded_%06d.ppm pairs plus
-manifest.tsv (index, files, kind, per-sample seed, then the DegradationSpec
-parameters as provenance columns). Clean inputs are quantized to the 8-bit
-grid before degradation so the pair on disk is exactly degrade(clean).
+manifest.tsv (index, files, kind, per-sample seed, then the fields of the
+active RainParams or BlurParams as provenance columns). Clean inputs are
+quantized to the 8-bit grid before degradation so the pair on disk is exactly
+degrade(clean). Images are plain (C, H, W) float64 arrays throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor
+from .checkpoint import write_atomic
 from .errors import FormatError
 from .ppm import write_ppm
 from .prng import SplitMix64, derive_stream
@@ -79,6 +80,12 @@ class BlurParams:
     def __post_init__(self):
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kernel_kind!r}")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ValueError(f"kernel size must be odd and positive, got {self.kernel_size}")
+        if self.kernel_kind == KERNEL_LINEAR_MOTION and self.motion_length > self.kernel_size:
+            raise ValueError(
+                f"motion length {self.motion_length} exceeds kernel size {self.kernel_size}"
+            )
         if self.noise_sigma < 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
 
@@ -101,10 +108,22 @@ class DegradationSpec:
 
 @dataclass
 class DegradationSample:
-    clean: Tensor
-    degraded: Tensor
-    residual: Tensor  # additive part, recorded before clamping
-    seed: int
+    degraded: np.ndarray
+    residual: np.ndarray  # additive part, recorded before clamping
+
+
+def _segment_offsets(xs: np.ndarray, ys: np.ndarray, ax: float, ay: float,
+                     bx: float, by: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) offsets of the points (xs, ys) from their nearest points on
+    the segment a-b (a single point when a == b)."""
+    seg_x, seg_y = bx - ax, by - ay
+    seg_len_sq = seg_x * seg_x + seg_y * seg_y
+    rel_x, rel_y = xs - ax, ys - ay
+    if seg_len_sq > 0.0:
+        t = np.clip((rel_x * seg_x + rel_y * seg_y) / seg_len_sq, 0.0, 1.0)
+    else:
+        t = np.zeros_like(rel_x)
+    return rel_x - t * seg_x, rel_y - t * seg_y
 
 
 def _streak_field(height: int, width: int, params: RainParams, rng: SplitMix64) -> np.ndarray:
@@ -129,21 +148,13 @@ def _streak_field(height: int, width: int, params: RainParams, rng: SplitMix64) 
         if x0 >= x1 or y0 >= y1:
             continue
         ys, xs = np.mgrid[y0:y1, x0:x1]
-        seg_x, seg_y = bx - ax, by - ay
-        seg_len_sq = seg_x * seg_x + seg_y * seg_y
-        rel_x, rel_y = xs - ax, ys - ay
-        if seg_len_sq > 0.0:
-            t = np.clip((rel_x * seg_x + rel_y * seg_y) / seg_len_sq, 0.0, 1.0)
-        else:
-            t = np.zeros_like(rel_x)
-        dist_x = rel_x - t * seg_x
-        dist_y = rel_y - t * seg_y
+        dist_x, dist_y = _segment_offsets(xs, ys, ax, ay, bx, by)
         dist_sq = dist_x * dist_x + dist_y * dist_y
         field[y0:y1, x0:x1] += intensity * np.exp(-dist_sq / two_sigma_sq)
     return field
 
 
-def synth_rain(clean: Tensor, spec: DegradationSpec) -> DegradationSample:
+def synth_rain(clean: np.ndarray, spec: DegradationSpec) -> DegradationSample:
     """Add an oriented-streak field; residual is the field itself (>= 0)."""
     if spec.kind != KIND_RAIN:
         raise ValueError(f"synth_rain needs kind={KIND_RAIN!r}, got {spec.kind!r}")
@@ -151,53 +162,42 @@ def synth_rain(clean: Tensor, spec: DegradationSpec) -> DegradationSample:
     rng = SplitMix64(spec.seed)
     field = _streak_field(height, width, spec.rain, rng)
     residual = np.broadcast_to(field, (channels, height, width)).copy()
-    degraded = np.clip(clean.data + residual, 0.0, 1.0)
-    return DegradationSample(clean=clean, degraded=Tensor(degraded),
-                             residual=Tensor(residual), seed=spec.seed)
+    return DegradationSample(degraded=np.clip(clean + residual, 0.0, 1.0), residual=residual)
 
 
-def make_blur_kernel(params: BlurParams) -> Tensor:
+def make_blur_kernel(params: BlurParams) -> np.ndarray:
     """Normalized 2-D kernel: box, Gaussian, or anti-aliased linear motion.
 
     Degenerate limits collapse to a delta kernel explicitly: Gaussian sigma
     below half a pixel, and motion length <= 1.
     """
     size = params.kernel_size
-    if size < 1 or size % 2 != 1:
-        raise ValueError(f"kernel size must be odd and positive, got {size}")
     center = (size - 1) // 2
     if params.kernel_kind == KERNEL_BOX:
-        kernel = np.full((size, size), 1.0 / (size * size))
-        return Tensor(kernel)
+        return np.full((size, size), 1.0 / (size * size))
     if params.kernel_kind == KERNEL_GAUSSIAN:
         if params.sigma < 0.5:
             kernel = np.zeros((size, size))
             kernel[center, center] = 1.0
-            return Tensor(kernel)
+            return kernel
         coords = np.arange(size) - center
         grid = coords[:, None] ** 2 + coords[None, :] ** 2
         kernel = np.exp(-grid / (2.0 * params.sigma * params.sigma))
-        return Tensor(kernel / kernel.sum())
+        return kernel / kernel.sum()
     # linear motion
     length = params.motion_length
     if length <= 1.0:
         kernel = np.zeros((size, size))
         kernel[center, center] = 1.0
-        return Tensor(kernel)
-    if length > size:
-        raise ValueError(f"motion length {length} exceeds kernel size {size}")
+        return kernel
     angle = np.deg2rad(params.motion_angle)
     half = (length - 1.0) / 2.0
     ax, ay = center - half * np.cos(angle), center - half * np.sin(angle)
     bx, by = center + half * np.cos(angle), center + half * np.sin(angle)
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    seg_x, seg_y = bx - ax, by - ay
-    seg_len_sq = seg_x * seg_x + seg_y * seg_y
-    rel_x, rel_y = xs - ax, ys - ay
-    t = np.clip((rel_x * seg_x + rel_y * seg_y) / seg_len_sq, 0.0, 1.0)
-    dist = np.hypot(rel_x - t * seg_x, rel_y - t * seg_y)
+    dist = np.hypot(*_segment_offsets(xs, ys, ax, ay, bx, by))
     kernel = np.maximum(0.0, 1.0 - dist)  # one-pixel tent cross-section
-    return Tensor(kernel / kernel.sum())
+    return kernel / kernel.sum()
 
 
 def _correlate_replicate(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -211,29 +211,26 @@ def _correlate_replicate(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.tensordot(windows, kernel, axes=([3, 4], [0, 1]))
 
 
-def synth_blur(clean: Tensor, spec: DegradationSpec) -> DegradationSample:
+def synth_blur(clean: np.ndarray, spec: DegradationSpec) -> DegradationSample:
     """Blur with the configured kernel, add Gaussian noise; residual is the noise."""
     if spec.kind != KIND_BLUR:
         raise ValueError(f"synth_blur needs kind={KIND_BLUR!r}, got {spec.kind!r}")
     channels, height, width = clean.shape
-    kernel = make_blur_kernel(spec.blur)
-    blurred = _correlate_replicate(clean.data, kernel.data)
+    blurred = _correlate_replicate(clean, make_blur_kernel(spec.blur))
     rng = SplitMix64(spec.seed)
     noise = spec.blur.noise_sigma * rng.gaussians(channels * height * width).reshape(
         channels, height, width
     )
-    degraded = np.clip(blurred + noise, 0.0, 1.0)
-    return DegradationSample(clean=clean, degraded=Tensor(degraded),
-                             residual=Tensor(noise), seed=spec.seed)
+    return DegradationSample(degraded=np.clip(blurred + noise, 0.0, 1.0), residual=noise)
 
 
-def synthesize_sample(clean: Tensor, spec: DegradationSpec) -> DegradationSample:
+def synthesize_sample(clean: np.ndarray, spec: DegradationSpec) -> DegradationSample:
     if spec.kind == KIND_RAIN:
         return synth_rain(clean, spec)
     return synth_blur(clean, spec)
 
 
-def generate_clean(height: int, width: int, seed: int) -> Tensor:
+def generate_clean(height: int, width: int, seed: int) -> np.ndarray:
     """Procedural clean image: three octaves of bilinear value noise,
     min-max normalized into [0.05, 0.95]."""
     rng = SplitMix64(seed)
@@ -246,7 +243,7 @@ def generate_clean(height: int, width: int, seed: int) -> Tensor:
         image = (image - lo) / (hi - lo) * 0.9 + 0.05
     else:
         image = np.full_like(image, 0.5)
-    return Tensor(image)
+    return image
 
 
 def _bilinear_upsample(coarse: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -281,35 +278,19 @@ class ManifestEntry:
     seed: int
 
 
-def _spec_columns(spec: DegradationSpec) -> tuple[list[str], list[str]]:
-    if spec.kind == KIND_RAIN:
-        p = spec.rain
-        return (
-            ["count_min", "count_max", "length_min", "length_max", "angle_min",
-             "angle_max", "intensity_min", "intensity_max", "streak_sigma"],
-            [str(p.count_min), str(p.count_max), repr(p.length_min), repr(p.length_max),
-             repr(p.angle_min), repr(p.angle_max), repr(p.intensity_min),
-             repr(p.intensity_max), repr(p.streak_sigma)],
-        )
-    p = spec.blur
-    return (
-        ["kernel_kind", "kernel_size", "sigma", "motion_length", "motion_angle",
-         "noise_sigma"],
-        [p.kernel_kind, str(p.kernel_size), repr(p.sigma), repr(p.motion_length),
-         repr(p.motion_angle), repr(p.noise_sigma)],
-    )
+def _quantize_to_grid(image: np.ndarray) -> np.ndarray:
+    return np.floor(np.clip(image, 0.0, 1.0) * 255.0 + 0.5) / 255.0
 
 
-def _quantize_to_grid(image: Tensor) -> Tensor:
-    return Tensor(np.floor(np.clip(image.data, 0.0, 1.0) * 255.0 + 0.5) / 255.0)
-
-
-def make_corpus(cleans: list[Tensor], spec: DegradationSpec, count: int,
+def make_corpus(cleans: list[np.ndarray], spec: DegradationSpec, count: int,
                 out_dir: str | Path) -> Path:
     """Write `count` degraded pairs and a manifest; returns the directory.
 
     Sample i uses clean image cleans[i % len(cleans)] (snapped to the 8-bit
-    grid first) and per-sample seed derive_stream(spec.seed, i).
+    grid first) and per-sample seed derive_stream(spec.seed, i). An earlier
+    manifest.tsv is removed before the first image is written and the new one
+    is put in place atomically after the last, so a run that fails or is
+    killed part way leaves no manifest over a mix of old and new images.
     """
     if count < 1:
         raise ValueError(f"corpus count must be >= 1, got {count}")
@@ -317,21 +298,25 @@ def make_corpus(cleans: list[Tensor], spec: DegradationSpec, count: int,
         raise ValueError("make_corpus needs at least one clean image")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    param_names, param_values = _spec_columns(spec)
+    params = spec.rain if spec.kind == KIND_RAIN else spec.blur
+    param_names = [f.name for f in fields(params)]
+    param_values = [str(getattr(params, name)) for name in param_names]
     lines = ["\t".join(["index", "clean", "degraded", "kind", "seed"] + param_names)]
+    manifest = out_dir / "manifest.tsv"
+    manifest.unlink(missing_ok=True)
     for index in range(count):
         sample_seed = derive_stream(spec.seed, index)
         clean = _quantize_to_grid(cleans[index % len(cleans)])
         sample = synthesize_sample(clean, replace(spec, seed=sample_seed))
         clean_name = f"clean_{index:06d}.ppm"
         degraded_name = f"degraded_{index:06d}.ppm"
-        write_ppm(sample.clean, out_dir / clean_name)
+        write_ppm(clean, out_dir / clean_name)
         write_ppm(sample.degraded, out_dir / degraded_name)
         lines.append("\t".join(
             [str(index), clean_name, degraded_name, spec.kind, str(sample_seed)]
             + param_values
         ))
-    (out_dir / "manifest.tsv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("ascii"))
     return out_dir
 
 

@@ -48,10 +48,10 @@ def format_metric(value: float) -> str:
     return repr(float(value))
 
 
-def psnr(a: Tensor, b: Tensor, peak: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"psnr: shapes differ ({a.shape} vs {b.shape})")
-    mse = float(np.mean((a.data - b.data) ** 2))
+    mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -88,8 +88,8 @@ def _window_means(rows: np.ndarray) -> np.ndarray:
     return means
 
 
-def ssim(a: Tensor, b: Tensor) -> float:
-    """Mean SSIM between two (H, W) or (C, H, W) tensors in [0, 1].
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean SSIM between two (H, W) or (C, H, W) arrays in [0, 1].
 
     The maps a, b, a^2 + b^2 and ab of every channel are stacked, so the
     separable window is banded GEMMs over all of them at once: along W, then
@@ -99,9 +99,9 @@ def ssim(a: Tensor, b: Tensor) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"ssim: shapes differ ({a.shape} vs {b.shape})")
     if a.ndim == 2:
-        planes_a, planes_b = a.data[None], b.data[None]
+        planes_a, planes_b = a[None], b[None]
     elif a.ndim == 3:
-        planes_a, planes_b = a.data, b.data
+        planes_a, planes_b = a, b
     else:
         raise ShapeError(f"ssim expects (H, W) or (C, H, W), got {a.shape}")
     channels, height, width = planes_a.shape
@@ -160,7 +160,9 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     """Full-image inference over a corpus; returns per-image and mean metrics.
 
     The restored output is clamped to [0, 1] before computing metrics (files
-    on disk are 8-bit anyway). Rows follow manifest index order.
+    on disk are 8-bit anyway). Rows follow manifest index order. An image with
+    another channel count than the model's, or smaller than the SSIM window,
+    is a FormatError.
     """
     corpus_dir = Path(corpus_dir)
     model = Model.from_checkpoint(checkpoint)
@@ -169,13 +171,18 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     psnr_sum, ssim_sum = 0.0, 0.0
     for entry in entries:
         clean, degraded = read_pair(corpus_dir, entry)
-        if clean.shape[0] != model.mapping.in_channels:
+        channels, height, width = clean.shape
+        if channels != model.mapping.in_channels:
             raise FormatError(
-                f"{entry.degraded_file} has {clean.shape[0]} channels, the checkpoint's "
+                f"{entry.degraded_file} has {channels} channels, the checkpoint's "
                 f"model takes {model.mapping.in_channels}"
             )
-        y = Tensor(degraded.data[None])
-        restored = Tensor(np.clip(model.forward(y).output.data[0], 0.0, 1.0))
+        if height < SSIM_WINDOW or width < SSIM_WINDOW:
+            raise FormatError(
+                f"{entry.degraded_file} is {height}x{width}, smaller than the "
+                f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+            )
+        restored = np.clip(model.forward(Tensor(degraded[None])).output.data[0], 0.0, 1.0)
         row = MetricRow(
             index=entry.index,
             file=entry.degraded_file,

@@ -13,21 +13,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import FormatError
 
 
-def write_ppm(image: Tensor, path: str | Path) -> None:
-    """Write a (3, H, W) tensor with values in [0, 1]."""
-    data = image.data
-    if data.ndim != 3 or data.shape[0] != 3:
-        raise FormatError(f"PPM image must have shape (3, H, W), got {data.shape}")
-    if data.min() < 0.0 or data.max() > 1.0:
+def write_ppm(image: np.ndarray, path: str | Path) -> None:
+    """Write a (3, H, W) array with values in [0, 1]."""
+    if image.ndim != 3 or image.shape[0] != 3:
+        raise FormatError(f"PPM image must have shape (3, H, W), got {image.shape}")
+    if image.min() < 0.0 or image.max() > 1.0:
         raise FormatError(
-            f"PPM values must lie in [0, 1], got range [{data.min()!r}, {data.max()!r}]"
+            f"PPM values must lie in [0, 1], got range [{image.min()!r}, {image.max()!r}]"
         )
-    _, height, width = data.shape
-    quantized = np.floor(data * 255.0 + 0.5).astype(np.uint8)
+    _, height, width = image.shape
+    quantized = np.floor(image * 255.0 + 0.5).astype(np.uint8)
     payload = quantized.transpose(1, 2, 0).tobytes()
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
@@ -57,8 +55,8 @@ def _read_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos + 1  # single whitespace byte separates header from payload
 
 
-def read_ppm(path: str | Path) -> Tensor:
-    """Read a P6 file into a (3, H, W) tensor with values in [0, 1]."""
+def read_ppm(path: str | Path) -> np.ndarray:
+    """Read a P6 file into a (3, H, W) float64 array with values in [0, 1]."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P"):
         raise FormatError(f"{path}: not a PPM file")
@@ -81,4 +79,4 @@ def read_ppm(path: str | Path) -> Tensor:
             f"{path}: truncated pixel data ({len(payload)} of {expected} bytes)"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Tensor(pixels.transpose(2, 0, 1).astype(np.float64) / 255.0)
+    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0

@@ -154,7 +154,7 @@ class CorpusImage:
     file: str
 
 
-def read_pair(corpus_dir: Path, entry: ManifestEntry) -> tuple[Tensor, Tensor]:
+def read_pair(corpus_dir: Path, entry: ManifestEntry) -> tuple[np.ndarray, np.ndarray]:
     """The (clean, degraded) images of one manifest entry, which must have one shape."""
     clean = read_ppm(corpus_dir / entry.clean_file)
     degraded = read_ppm(corpus_dir / entry.degraded_file)
@@ -174,8 +174,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
     images = []
     for entry in entries:
         clean, degraded = read_pair(corpus_dir, entry)
-        images.append(CorpusImage(clean=clean.data, degraded=degraded.data,
-                                  file=entry.degraded_file))
+        images.append(CorpusImage(clean=clean, degraded=degraded, file=entry.degraded_file))
     return images
 
 

@@ -48,14 +48,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def rand_tensor(seed: int, shape: tuple[int, ...],
-                lo: float = -1.0, hi: float = 1.0) -> Tensor:
-    """Deterministic uniform tensor on [lo, hi)."""
+def rand_array(seed: int, shape: tuple[int, ...],
+               lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+    """Deterministic uniform array on [lo, hi)."""
     rng = SplitMix64(seed)
     count = 1
     for extent in shape:
         count *= extent
-    return Tensor(lo + (hi - lo) * rng.uniforms(count).reshape(shape))
+    return lo + (hi - lo) * rng.uniforms(count).reshape(shape)
+
+
+def rand_tensor(seed: int, shape: tuple[int, ...],
+                lo: float = -1.0, hi: float = 1.0) -> Tensor:
+    """Deterministic uniform tensor on [lo, hi)."""
+    return Tensor(rand_array(seed, shape, lo, hi))
 
 
 def weighted_sum(graph: Graph, out: Tensor, weights: np.ndarray | float = 1.0) -> Tensor:

@@ -16,7 +16,6 @@ import pytest
 
 from conftest import child_env
 from taylor_restore import cli, trainer
-from taylor_restore.autodiff import Tensor
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.cli import main
 from taylor_restore.composer import ComposerConfig
@@ -128,6 +127,39 @@ def test_synthesize_rerun_is_byte_identical(tmp_path):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("sets", [
+    ["--kind", "blur", "--set", "data.blur.kernel_size=4"],
+    ["--kind", "blur", "--set", "data.blur.kernel=linear_motion",
+     "--set", "data.blur.motion_length=12"],
+    ["--set", "data.blur.kernel_size=4"],  # both param sets are built, whatever the kind
+])
+def test_blur_settings_that_make_no_kernel_are_config_errors(tmp_path, sets):
+    out = tmp_path / "data"
+    proc = subprocess.run([sys.executable, "-m", "taylor_restore", "synthesize", "--out", str(out),
+                           "--count", "1", "--set", "data.image_size=16", *sets],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_failed_resynthesis_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    """A synthesize into an existing corpus removes its manifest before the first image and puts
+    the new one in place last, so one that fails part way leaves a corpus that train refuses
+    rather than the old rows over a mix of old and new images."""
+    data = synthesize(tmp_path / "data", seed=1)
+    monkeypatch.setattr(os, "replace", replace_failing_for("manifest.tsv"))
+    assert main(["synthesize", "--out", str(data), "--count", "4", "--seed", "2",
+                 "--set", "data.image_size=16"]) == 3
+    assert "io error" in capsys.readouterr().err
+    assert not (data / "manifest.tsv").exists()
+    assert not (data / "manifest.tsv.tmp").exists()
+    monkeypatch.undo()
+    assert main(train_args(data, tmp_path / "run")) == 3
+    assert "manifest not found" in capsys.readouterr().err
 
 
 def test_synthesize_requires_out(capsys):
@@ -596,7 +628,7 @@ def test_bad_checkpoint_metadata_is_io_error(tmp_path, capsys, command, key, val
 
 def test_eval_pair_shape_mismatch_is_io_error(tmp_path, capsys):
     data = synthesize(tmp_path / "data", count=2)
-    write_ppm(Tensor(np.zeros((3, 8, 8))), data / "degraded_000001.ppm")
+    write_ppm(np.zeros((3, 8, 8)), data / "degraded_000001.ppm")
     rc = main(["eval", "--ckpt", str(identity_checkpoint(tmp_path / "identity.bin")),
                "--data", str(data), "--out", str(tmp_path / "eval")])
     assert rc == 3
@@ -609,6 +641,19 @@ def test_eval_channel_count_mismatch_is_io_error(tmp_path, capsys):
                "--data", str(data), "--out", str(tmp_path / "eval")])
     assert rc == 3
     assert "has 3 channels, the checkpoint's model takes 1" in capsys.readouterr().err
+
+
+def test_eval_on_images_smaller_than_the_ssim_window_is_io_error(tmp_path, capsys):
+    """An 8-px corpus trains with 8-px patches, but SSIM needs 11 px: eval names the file."""
+    data = synthesize(tmp_path / "data", count=2, size=8)
+    assert main(train_args(data, tmp_path / "run", patch=8)) == 0
+    out = tmp_path / "eval"
+    rc = main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_epoch0002.bin"),
+               "--data", str(data), "--out", str(out)])
+    assert rc == 3
+    assert ("degraded_000000.ppm is 8x8, smaller than the 11x11 SSIM window"
+            in capsys.readouterr().err)
+    assert not (out / "metrics.tsv").exists()
 
 
 # --- gradcheck ----------------------------------------------------------------------------
@@ -687,6 +732,16 @@ def test_sweep_marks_failed_orders(tmp_path, capsys):
     assert lines[2] == "9\tFAILED\tFAILED"
     captured = capsys.readouterr()
     assert "order 9 FAILED" in captured.err
+
+
+def test_sweep_refuses_an_order_listed_twice(tmp_path, capsys):
+    """Both runs of a twice-listed order would write into one order_N directory."""
+    data = synthesize(tmp_path / "data", count=4, size=24, seed=8)
+    out = tmp_path / "sweep"
+    assert main(["sweep-order", "3,3", "--data", str(data), "--out", str(out),
+                 "--jobs", "2", *sweep_sets()]) == 2
+    assert "an order is listed twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("orders, jobs, pools, rows", [("0..1", 64, [2], 2), ("2", 8, [], 1)])

@@ -1,10 +1,14 @@
 """Synthetic degradations and corpus generation: additive rain streaks,
 blur kernels with exact mass, and byte-stable corpus regeneration."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import taylor_restore
 from conftest import write_rain_corpus
 from taylor_restore.degrade import (
     BlurParams,
@@ -13,6 +17,7 @@ from taylor_restore.degrade import (
     corpus_clean_seed,
     generate_clean,
     make_blur_kernel,
+    make_corpus,
     read_manifest,
     synth_blur,
     synth_rain,
@@ -41,16 +46,16 @@ def blur_spec(seed, **kwargs):
 def test_generate_clean_range_and_shape():
     img = generate_clean(20, 28, 9)
     assert img.shape == (3, 20, 28)
-    assert float(img.data.min()) == pytest.approx(0.05, abs=1e-9)
-    assert float(img.data.max()) == pytest.approx(0.95, abs=1e-9)
+    assert float(img.min()) == pytest.approx(0.05, abs=1e-9)
+    assert float(img.max()) == pytest.approx(0.95, abs=1e-9)
 
 
 def test_generate_clean_is_deterministic():
     a = generate_clean(16, 16, 3)
     b = generate_clean(16, 16, 3)
     c = generate_clean(16, 16, 4)
-    assert a.data.tobytes() == b.data.tobytes()
-    assert a.data.tobytes() != c.data.tobytes()
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
 
 
 # --- rain ----------------------------------------------------------------------
@@ -58,24 +63,24 @@ def test_generate_clean_is_deterministic():
 def test_rain_zero_streaks_is_identity():
     clean = make_clean()
     sample = synth_rain(clean, rain_spec(7, count_min=0, count_max=0))
-    assert np.array_equal(sample.degraded.data, clean.data)
-    assert float(np.abs(sample.residual.data).max()) == 0.0
+    assert np.array_equal(sample.degraded, clean)
+    assert float(np.abs(sample.residual).max()) == 0.0
 
 
 def test_rain_residual_is_nonnegative_and_brightening():
     clean = make_clean()
     sample = synth_rain(clean, rain_spec(11))
-    assert float(sample.residual.data.min()) >= 0.0
-    assert float(sample.residual.data.max()) > 0.0
-    assert np.all(sample.degraded.data >= clean.data - 1e-12)
+    assert float(sample.residual.min()) >= 0.0
+    assert float(sample.residual.max()) > 0.0
+    assert np.all(sample.degraded >= clean - 1e-12)
 
 
 def test_rain_reconstruction_identity():
     clean = make_clean()
     sample = synth_rain(clean, rain_spec(13))
-    rebuilt = np.clip(clean.data + sample.residual.data, 0.0, 1.0)
-    assert np.array_equal(sample.degraded.data, rebuilt)
-    assert sample.degraded.data.min() >= 0.0 and sample.degraded.data.max() <= 1.0
+    rebuilt = np.clip(clean + sample.residual, 0.0, 1.0)
+    assert np.array_equal(sample.degraded, rebuilt)
+    assert sample.degraded.min() >= 0.0 and sample.degraded.max() <= 1.0
 
 
 def test_rain_is_deterministic_per_seed():
@@ -83,15 +88,15 @@ def test_rain_is_deterministic_per_seed():
     a = synth_rain(clean, rain_spec(21))
     b = synth_rain(clean, rain_spec(21))
     c = synth_rain(clean, rain_spec(22))
-    assert a.degraded.data.tobytes() == b.degraded.data.tobytes()
-    assert a.degraded.data.tobytes() != c.degraded.data.tobytes()
+    assert a.degraded.tobytes() == b.degraded.tobytes()
+    assert a.degraded.tobytes() != c.degraded.tobytes()
 
 
 def test_rain_residual_is_shared_across_channels():
     clean = make_clean()
     sample = synth_rain(clean, rain_spec(31))
-    assert np.array_equal(sample.residual.data[0], sample.residual.data[1])
-    assert np.array_equal(sample.residual.data[0], sample.residual.data[2])
+    assert np.array_equal(sample.residual[0], sample.residual[1])
+    assert np.array_equal(sample.residual[0], sample.residual[2])
 
 
 def test_rain_rejects_wrong_kind():
@@ -113,13 +118,13 @@ def test_rain_params_validation():
 # --- blur kernels ---------------------------------------------------------------
 
 def test_box_kernel_is_uniform():
-    kernel = make_blur_kernel(BlurParams(kernel_kind="box", kernel_size=3)).data
+    kernel = make_blur_kernel(BlurParams(kernel_kind="box", kernel_size=3))
     assert np.allclose(kernel, np.full((3, 3), 1.0 / 9.0), atol=1e-15, rtol=0)
 
 
 def test_gaussian_kernel_mass_and_symmetry():
     kernel = make_blur_kernel(
-        BlurParams(kernel_kind="gaussian", kernel_size=9, sigma=1.5)).data
+        BlurParams(kernel_kind="gaussian", kernel_size=9, sigma=1.5))
     assert abs(float(kernel.sum()) - 1.0) <= 1e-12
     assert float(kernel.min()) >= 0.0
     assert np.allclose(kernel, kernel[::-1, ::-1], atol=1e-15, rtol=0)
@@ -128,7 +133,7 @@ def test_gaussian_kernel_mass_and_symmetry():
 
 def test_tiny_sigma_collapses_to_delta():
     kernel = make_blur_kernel(
-        BlurParams(kernel_kind="gaussian", kernel_size=5, sigma=0.4)).data
+        BlurParams(kernel_kind="gaussian", kernel_size=5, sigma=0.4))
     expected = np.zeros((5, 5))
     expected[2, 2] = 1.0
     assert np.array_equal(kernel, expected)
@@ -136,21 +141,21 @@ def test_tiny_sigma_collapses_to_delta():
 
 def test_motion_kernel_edge_cases():
     delta = make_blur_kernel(
-        BlurParams(kernel_kind="linear_motion", kernel_size=5, motion_length=1.0)).data
+        BlurParams(kernel_kind="linear_motion", kernel_size=5, motion_length=1.0))
     expected = np.zeros((5, 5))
     expected[2, 2] = 1.0
     assert np.array_equal(delta, expected)
 
-    with pytest.raises(ValueError):
-        make_blur_kernel(BlurParams(kernel_kind="linear_motion", kernel_size=5,
-                                    motion_length=9.0))
+    with pytest.raises(ValueError, match="exceeds kernel size"):
+        BlurParams(kernel_kind="linear_motion", kernel_size=5, motion_length=9.0)
+    # a motion length only binds the motion kernel
+    BlurParams(kernel_kind="gaussian", kernel_size=5, motion_length=9.0)
 
 
 def test_kernel_size_must_be_odd_positive():
-    with pytest.raises(ValueError):
-        make_blur_kernel(BlurParams(kernel_kind="box", kernel_size=4))
-    with pytest.raises(ValueError):
-        make_blur_kernel(BlurParams(kernel_kind="box", kernel_size=-3))
+    for size in (4, -3, 0):
+        with pytest.raises(ValueError, match="odd and positive"):
+            BlurParams(kernel_kind="box", kernel_size=size)
 
 
 def test_unknown_kernel_kind_rejected():
@@ -167,7 +172,7 @@ def test_kernel_mass_is_always_one(kind, size, sigma, length, angle):
     assume(kind != "linear_motion" or length <= size)
     kernel = make_blur_kernel(BlurParams(kernel_kind=kind, kernel_size=size,
                                          sigma=sigma, motion_length=length,
-                                         motion_angle=angle)).data
+                                         motion_angle=angle))
     assert kernel.shape == (size, size)
     assert abs(float(kernel.sum()) - 1.0) <= 1e-12
     assert float(kernel.min()) >= 0.0
@@ -179,17 +184,16 @@ def test_noiseless_delta_blur_is_identity():
     clean = make_clean()
     sample = synth_blur(clean, blur_spec(3, kernel_kind="gaussian", sigma=0.3,
                                          noise_sigma=0.0))
-    assert np.array_equal(sample.degraded.data, clean.data)
-    assert float(np.abs(sample.residual.data).max()) == 0.0
+    assert np.array_equal(sample.degraded, clean)
+    assert float(np.abs(sample.residual).max()) == 0.0
 
 
 def test_blur_preserves_constant_images():
     # replicate-edge padding makes blurring exact on constants
-    from taylor_restore.autodiff import Tensor
-    clean = Tensor(np.full((3, 20, 20), 0.42))
+    clean = np.full((3, 20, 20), 0.42)
     sample = synth_blur(clean, blur_spec(5, kernel_kind="gaussian", sigma=1.5,
                                          noise_sigma=0.0))
-    assert np.allclose(sample.degraded.data, 0.42, atol=1e-12, rtol=0)
+    assert np.allclose(sample.degraded, 0.42, atol=1e-12, rtol=0)
 
 
 def test_blur_is_deterministic_and_noise_uses_seed():
@@ -197,8 +201,8 @@ def test_blur_is_deterministic_and_noise_uses_seed():
     a = synth_blur(clean, blur_spec(8, noise_sigma=0.05))
     b = synth_blur(clean, blur_spec(8, noise_sigma=0.05))
     c = synth_blur(clean, blur_spec(9, noise_sigma=0.05))
-    assert a.degraded.data.tobytes() == b.degraded.data.tobytes()
-    assert a.degraded.data.tobytes() != c.degraded.data.tobytes()
+    assert a.degraded.tobytes() == b.degraded.tobytes()
+    assert a.degraded.tobytes() != c.degraded.tobytes()
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -211,7 +215,7 @@ def test_synthesize_sample_dispatches_on_kind():
     assert spec_b.blur is not None and spec_b.rain is None
     rain = synthesize_sample(clean, spec_r)
     blur = synthesize_sample(clean, spec_b)
-    assert rain.degraded.data.tobytes() != blur.degraded.data.tobytes()
+    assert rain.degraded.tobytes() != blur.degraded.tobytes()
     with pytest.raises(ValueError):
         DegradationSpec(kind="fog", seed=1)
 
@@ -231,6 +235,20 @@ def test_corpus_layout_and_manifest(tmp_path):
     assert entries[0].kind == "rain"
     assert entries[0].clean_file == "clean_000000.ppm"
     assert entries[1].seed == derive_stream(6, 1)  # per-sample degradation seed
+
+
+@pytest.mark.parametrize("kind, columns, values", [
+    ("rain", "count_min count_max length_min length_max angle_min angle_max intensity_min "
+     "intensity_max streak_sigma", "4 10 8.0 20.0 70.0 110.0 0.15 0.6 0.7"),
+    ("blur", "kernel_kind kernel_size sigma motion_length motion_angle noise_sigma",
+     "gaussian 9 1.5 7.0 0.0 0.01"),
+])
+def test_manifest_provenance_columns_are_the_param_fields(tmp_path, kind, columns, values):
+    """The columns after the seed name the fields of the kind's params and hold their values."""
+    out = make_corpus([generate_clean(12, 12, 1)], DegradationSpec(kind=kind), 1, tmp_path / "c")
+    header, row = (out / "manifest.tsv").read_text().splitlines()
+    assert header.split("\t")[5:] == columns.split()
+    assert row.split("\t")[5:] == values.split()
 
 
 def test_corpus_regeneration_is_byte_identical(tmp_path):
@@ -263,8 +281,8 @@ def test_corpus_clean_files_are_quantised_cleans(tmp_path):
     out = write_rain_corpus(tmp_path / "c", count=1, size=20, seed=15)
     stored = read_ppm(out / "clean_000000.ppm")
     raw = generate_clean(20, 20, corpus_clean_seed(15, 0))
-    snapped = np.floor(raw.data * 255.0 + 0.5) / 255.0
-    assert float(np.abs(stored.data - snapped).max()) <= 1e-12
+    snapped = np.floor(raw * 255.0 + 0.5) / 255.0
+    assert float(np.abs(stored - snapped).max()) <= 1e-12
 
 
 def test_degraded_pairs_with_stored_clean(tmp_path):
@@ -275,5 +293,25 @@ def test_degraded_pairs_with_stored_clean(tmp_path):
         clean = read_ppm(out / entry.clean_file)
         degraded = read_ppm(out / entry.degraded_file)
         resynth = synth_rain(clean, rain_spec(entry.seed))
-        requantised = np.floor(resynth.degraded.data * 255.0 + 0.5) / 255.0
-        assert float(np.abs(degraded.data - requantised).max()) <= 1e-12
+        requantised = np.floor(resynth.degraded * 255.0 + 0.5) / 255.0
+        assert float(np.abs(degraded - requantised).max()) <= 1e-12
+
+
+# --- layering -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("module", ["ppm.py", "degrade.py"])
+def test_image_modules_stay_off_the_tape(module):
+    """Images carry no gradient: the file and degradation modules neither import the autodiff
+    package nor name its Tensor."""
+    path = Path(taylor_restore.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "autodiff" not in (node.module or ""), f"{module}:{node.lineno}"
+            assert "Tensor" not in [alias.name for alias in node.names], f"{module}:{node.lineno}"
+        elif isinstance(node, ast.Import):
+            assert not any("autodiff" in alias.name for alias in node.names), module
+        elif isinstance(node, ast.Name):
+            assert node.id != "Tensor", f"{module}:{node.lineno}"
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "Tensor", f"{module}:{node.lineno}"

@@ -23,7 +23,7 @@ def read_ppm_or_format_error(path):
         image = read_ppm(path)
     except FormatError:
         return
-    assert image.shape[0] == 3 and 0.0 <= image.data.min() <= image.data.max() <= 1.0
+    assert image.shape[0] == 3 and 0.0 <= image.min() <= image.max() <= 1.0
 
 
 def edited(blob: bytes, data) -> bytes:

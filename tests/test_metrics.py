@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import child_env, psnr_bruteforce, rand_tensor, ssim_bruteforce
-from taylor_restore.autodiff import ShapeError, Tensor
+from conftest import child_env, psnr_bruteforce, rand_array, ssim_bruteforce
+from taylor_restore.autodiff import ShapeError
 from taylor_restore.metrics import (
     BAND_TILE,
     MetricReport,
@@ -23,29 +23,29 @@ from taylor_restore.metrics import (
 
 
 def image_pair(seed, shape=(3, 16, 16)):
-    a = rand_tensor(seed, shape, 0.0, 1.0)
-    b = rand_tensor(seed + 1000, shape, 0.0, 1.0)
+    a = rand_array(seed, shape, 0.0, 1.0)
+    b = rand_array(seed + 1000, shape, 0.0, 1.0)
     return a, b
 
 
 # --- PSNR -----------------------------------------------------------------------
 
 def test_psnr_of_identical_images_is_infinite():
-    a = rand_tensor(1, (3, 12, 12), 0.0, 1.0)
-    assert psnr(a, Tensor(a.data.copy())) == math.inf
+    a = rand_array(1, (3, 12, 12), 0.0, 1.0)
+    assert psnr(a, a.copy()) == math.inf
 
 
 def test_psnr_twenty_db_example():
     # uniform error of 0.1 against peak 1.0 is exactly 20 dB
-    a = Tensor(np.zeros((1, 10, 10)))
-    b = Tensor(np.full((1, 10, 10), 0.1))
+    a = np.zeros((1, 10, 10))
+    b = np.full((1, 10, 10), 0.1)
     assert abs(psnr(a, b) - 20.0) < 1e-9
 
 
 def test_psnr_decreases_with_noise_amplitude():
-    clean = rand_tensor(2, (3, 12, 12), 0.0, 1.0)
-    noise = rand_tensor(3, (3, 12, 12), -1.0, 1.0)
-    values = [psnr(clean, Tensor(clean.data + amp * noise.data))
+    clean = rand_array(2, (3, 12, 12), 0.0, 1.0)
+    noise = rand_array(3, (3, 12, 12), -1.0, 1.0)
+    values = [psnr(clean, clean + amp * noise)
               for amp in (0.05, 0.1, 0.2, 0.4)]
     assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
 
@@ -53,19 +53,19 @@ def test_psnr_decreases_with_noise_amplitude():
 def test_psnr_matches_loop_oracle():
     for seed in range(5):
         a, b = image_pair(10 + seed)
-        assert abs(psnr(a, b) - psnr_bruteforce(a.data, b.data)) <= 1e-9
+        assert abs(psnr(a, b) - psnr_bruteforce(a, b)) <= 1e-9
 
 
 def test_psnr_respects_peak():
-    a = Tensor(np.zeros((4, 4)))
-    b = Tensor(np.full((4, 4), 0.5))
+    a = np.zeros((4, 4))
+    b = np.full((4, 4), 0.5)
     assert psnr(a, b, peak=2.0) == pytest.approx(psnr(a, b) + 20.0 * math.log10(2.0),
                                                  abs=1e-12)
 
 
 def test_psnr_shape_mismatch():
     with pytest.raises(ShapeError):
-        psnr(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((3, 4, 5))))
+        psnr(np.zeros((3, 4, 4)), np.zeros((3, 4, 5)))
 
 
 # --- SSIM -----------------------------------------------------------------------
@@ -84,8 +84,8 @@ def test_ssim_window_is_normalised():
 
 
 def test_ssim_of_identical_images_is_one():
-    a = rand_tensor(20, (3, 14, 14), 0.0, 1.0)
-    assert ssim(a, Tensor(a.data.copy())) == pytest.approx(1.0, abs=1e-9)
+    a = rand_array(20, (3, 14, 14), 0.0, 1.0)
+    assert ssim(a, a.copy()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ssim_is_symmetric():
@@ -95,8 +95,8 @@ def test_ssim_is_symmetric():
 
 def test_ssim_constant_images_hit_luminance_floor():
     # mu_a=0, mu_b=1, zero variances: score = C1 / (1 + C1)
-    a = Tensor(np.zeros((12, 12)))
-    b = Tensor(np.ones((12, 12)))
+    a = np.zeros((12, 12))
+    b = np.ones((12, 12))
     c1 = 0.01 ** 2
     assert ssim(a, b) == pytest.approx(c1 / (1.0 + c1), abs=1e-7)
 
@@ -108,22 +108,22 @@ def test_ssim_matches_loop_oracle():
                                   (1, 140, 12), (1, 12, 140)]
     for seed, shape in enumerate(shapes):
         a, b = image_pair(30 + seed, shape)
-        assert abs(ssim(a, b) - ssim_bruteforce(a.data, b.data)) <= 1e-6
+        assert abs(ssim(a, b) - ssim_bruteforce(a, b)) <= 1e-6
 
 
 def test_ssim_accepts_single_plane():
     a, b = image_pair(40, (14, 14))
-    expected = ssim_bruteforce(a.data, b.data)
+    expected = ssim_bruteforce(a, b)
     assert abs(ssim(a, b) - expected) <= 1e-6
 
 
 def test_ssim_rejects_small_or_mismatched_images():
     with pytest.raises(ShapeError):
-        ssim(Tensor(np.zeros((3, 10, 12))), Tensor(np.zeros((3, 10, 12))))
+        ssim(np.zeros((3, 10, 12)), np.zeros((3, 10, 12)))
     with pytest.raises(ShapeError):
-        ssim(Tensor(np.zeros((3, 14, 14))), Tensor(np.zeros((3, 14, 15))))
+        ssim(np.zeros((3, 14, 14)), np.zeros((3, 14, 15)))
     with pytest.raises(ShapeError):
-        ssim(Tensor(np.zeros((1, 3, 14, 14))), Tensor(np.zeros((1, 3, 14, 14))))
+        ssim(np.zeros((1, 3, 14, 14)), np.zeros((1, 3, 14, 14)))
 
 
 # Independent images score near 0, where a last-bit change in a moment shows. With
@@ -131,12 +131,11 @@ def test_ssim_rejects_small_or_mismatched_images():
 # with no BAND_TILE limit, that of the 2 x 395 x 102 pair does.
 SSIM_CHILD = """
 import numpy as np
-from taylor_restore.autodiff import Tensor
 from taylor_restore.metrics import ssim
 for shape in [(3, 150, 200), (3, 97, 131), (1, 100, 97), (2, 395, 102)]:
     rng = np.random.default_rng(7)
     a, b = rng.random(shape), rng.random(shape)
-    print(ssim(Tensor(a), Tensor(b)).hex())
+    print(ssim(a, b).hex())
 """
 
 
@@ -152,9 +151,9 @@ def test_ssim_bits_do_not_depend_on_blas_threads():
 
 
 def test_ssim_degrades_with_noise():
-    clean = rand_tensor(50, (3, 16, 16), 0.2, 0.8)
-    noise = rand_tensor(51, (3, 16, 16), -1.0, 1.0)
-    values = [ssim(clean, Tensor(clean.data + amp * noise.data))
+    clean = rand_array(50, (3, 16, 16), 0.2, 0.8)
+    noise = rand_array(51, (3, 16, 16), -1.0, 1.0)
+    values = [ssim(clean, clean + amp * noise)
               for amp in (0.0, 0.05, 0.15)]
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     assert values[0] > values[1] > values[2]

@@ -28,6 +28,7 @@ ALTERNATIVES = {
     "composer.variant": "concat_only",
     "composer.g0": "y",
     "model.kernel_size": "5",  # kernels are odd
+    "data.blur.kernel_size": "11",
 }
 
 # echo_text(effective_config()), byte for byte

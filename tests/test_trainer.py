@@ -206,8 +206,8 @@ def test_load_corpus_roundtrip(tmp_path):
 def test_load_corpus_rejects_mismatched_pair(tmp_path):
     corpus_dir = tmp_path / "bad"
     corpus_dir.mkdir()
-    write_ppm(Tensor(np.zeros((3, 16, 16))), corpus_dir / "clean_000000.ppm")
-    write_ppm(Tensor(np.zeros((3, 8, 8))), corpus_dir / "degraded_000000.ppm")
+    write_ppm(np.zeros((3, 16, 16)), corpus_dir / "clean_000000.ppm")
+    write_ppm(np.zeros((3, 8, 8)), corpus_dir / "degraded_000000.ppm")
     (corpus_dir / "manifest.tsv").write_text(
         "index\tclean\tdegraded\tkind\tseed\n"
         "0\tclean_000000.ppm\tdegraded_000000.ppm\train\t1\n"
