@@ -13,19 +13,140 @@ Conventions, fixed once here:
   where pred == target is 0 (sign(0) == 0).
 * add and l1_loss require exactly equal shapes; there is no implicit broadcasting.
 
-Each op computes its output eagerly and, when a Graph is active, records a
-closure that turns the output's gradient into gradient contributions for the
-inputs (added via accumulate_grad, so repeated use of one tensor sums). A
-closure holds its inputs' gradient sinks (Tensor.sink), never the tensors, and
-saves only what its adjoint reads: conv2d its zero-padded input grid, relu its
-mask and l1_loss its sign. So the tape keeps no op output alive.
+Every 4-D op output (conv2d, relu, add, scale, concat_channels) is an (N, C, H, W) view into a
+channel-major grid (see Layout): a zero ring as wide as the conv pad around each image, the
+padded images flattened into columns, `lead` zero columns before them and a zero tail of at
+least `last` columns after them, rounded up to ALIGN. A conv reads its input's grid in place
+when the ring and margins fit, and builds one only for a plain input such as a batch; a same
+conv writes its products straight into its output grid and re-zeroes the ring. relu, add and
+scale work on whole grids, whose rings stay zero. Gradients of op outputs live in the same
+grids, so a conv's upstream gradient is the grid its dX correlation reads, and dX is written
+into a grid laid out like the input's. conv2d builds every tap stack and product one TILE of
+output columns at a time, so no temporary spans the whole grid.
+
+Each op computes its output eagerly and, when a Graph is active, records a closure that turns
+the output's gradient into gradient contributions for the inputs (added via accumulate_grad, so
+repeated use of one tensor sums). A closure holds its inputs' gradient sinks (Tensor.sink),
+never the tensors, and saves only what its adjoint reads: conv2d its input grid, relu its output
+grid (which the next conv keeps as its input anyway) and l1_loss its sign. So the tape keeps no
+op output's view alive. A constant input (Tensor.constant) has no sink: conv2d computes no dX
+for it, and the other ops pass it nothing.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .tensor import Graph, ShapeError, Tensor, active_graph
+
+# OpenBLAS (measured with 1 against 2 threads) splits a GEMM whose column count is not a multiple
+# of 8, or whose inner axis is long, differently per thread count, and so rounds differently.
+# conv2d's column counts are multiples of ALIGN, and its dW GEMMs sum fixed DW_BLOCK-column
+# blocks in order, so its bytes do not depend on the thread count. conv2d builds its tap stacks
+# and products one TILE of output columns at a time; a tile is a whole number of dW blocks, so
+# dW sums the same blocks in the same order whatever the span, and a span of one tile runs as
+# one GEMM per tap group.
+ALIGN = 64
+DW_BLOCK = 4096
+TILE = 2 * DW_BLOCK
+
+
+def _aligned(columns: int) -> int:
+    return -(-columns // ALIGN) * ALIGN
+
+
+class Layout(NamedTuple):
+    """Where an (N, C, H, W) array's values sit in its channel-major (C, width) grid.
+
+    Each image is padded by a zero ring of `pad`, to (Hp, Wp) = (H + 2*pad, W + 2*pad), and the
+    padded images are flattened into N*Hp*Wp columns, so that padded column (b*Hp + i)*Wp + j is
+    pixel (b, i - pad, j - pad). Padded column q sits at grid column q + `lead`, for
+    lead = pad*Wp + pad, so pixel (b, i, j) sits at r + 2*lead for r = (b*Hp + i)*Wp + j: where
+    a same conv puts output column r. Zero columns follow up to `lead + aligned(span + last)`,
+    so that a correlation with kernel offsets up to `last` reads inside the grid. Every column
+    but the pixels is zero.
+    """
+
+    n: int
+    h: int
+    w: int
+    pad: int
+    last: int
+
+    @classmethod
+    def same(cls, n: int, h: int, w: int, pad: int) -> "Layout":
+        """The layout whose margins fit a (2*pad + 1)-square conv of the same pad."""
+        return cls(n, h, w, pad, 2 * (pad * (w + 2 * pad) + pad))
+
+    @property
+    def hp(self) -> int:
+        return self.h + 2 * self.pad
+
+    @property
+    def wp(self) -> int:
+        return self.w + 2 * self.pad
+
+    @property
+    def lead(self) -> int:
+        return self.pad * self.wp + self.pad
+
+    @property
+    def span(self) -> int:
+        """The padded columns, rounded up to ALIGN."""
+        return _aligned(self.n * self.hp * self.wp)
+
+    @property
+    def width(self) -> int:
+        return self.lead + _aligned(self.span + self.last)
+
+    def padded(self, grid: np.ndarray) -> np.ndarray:
+        """The (C, N, Hp, Wp) padded images of a grid, as a view."""
+        start = self.lead
+        return grid[:, start:start + self.n * self.hp * self.wp].reshape(-1, self.n, self.hp,
+                                                                         self.wp)
+
+    def interior(self, grid: np.ndarray) -> np.ndarray:
+        """The (N, C, H, W) values of a grid, as a view."""
+        p = self.pad
+        return self.padded(grid)[:, :, p:p + self.h, p:p + self.w].transpose(1, 0, 2, 3)
+
+    def zero_ring(self, grid: np.ndarray) -> None:
+        """Zero every column of a grid that holds no value."""
+        p, start = self.pad, self.lead
+        grid[:, :start] = 0.0
+        grid[:, start + self.n * self.hp * self.wp:] = 0.0
+        if p:
+            padded = self.padded(grid)
+            padded[:, :, :p] = 0.0
+            padded[:, :, p + self.h:] = 0.0
+            padded[:, :, p:p + self.h, :p] = 0.0
+            padded[:, :, p:p + self.h, p + self.w:] = 0.0
+
+    def embed(self, data: np.ndarray) -> np.ndarray:
+        """A new grid holding the values of an (N, C, H, W) array."""
+        grid = np.empty((data.shape[1], self.width))
+        self.zero_ring(grid)
+        self.interior(grid)[...] = data
+        return grid
+
+
+def _layout_of(*tensors: Tensor) -> Layout | None:
+    """The layout of an elementwise op's output: its first grid input's, a ring-0 one for plain
+    4-D inputs, none otherwise."""
+    for tensor in tensors:
+        if tensor.layout is not None:
+            return tensor.layout
+    if tensors[0].ndim == 4:
+        n, _, h, w = tensors[0].shape
+        return Layout(n, h, w, 0, 0)
+    return None
+
+
+def _grid(tensor: Tensor, layout: Layout | None) -> np.ndarray:
+    """tensor's values laid out in layout: its own grid when that is how it is laid out."""
+    return tensor.grid if tensor.layout == layout else layout.embed(tensor.data)
 
 
 def _require_equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
@@ -38,13 +159,15 @@ def _require_equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_equal_shapes("add", a, b)
-    out = Tensor(a.data + b.data)
+    layout = _layout_of(a, b)
+    out = Tensor.of_grid(np.add(_grid(a, layout), _grid(b, layout)), layout)
     graph = active_graph()
     if graph is not None:
-        a_sink, b_sink = a.sink, b.sink
+        sinks = [sink for sink in (a.sink, b.sink) if sink is not None]
         def backward_fn(g: np.ndarray) -> None:
-            a_sink.accumulate_grad(g)
-            b_sink.accumulate_grad(g)
+            # the last sink keeps g itself, the others a copy
+            for i, sink in enumerate(sinks, start=1 - len(sinks)):
+                sink.accumulate_grad(g, layout, owned=i == 0)
         graph.record("add", out, backward_fn)
     return out
 
@@ -52,24 +175,36 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar."""
     factor = float(factor)
-    out = Tensor(a.data * factor)
+    layout = _layout_of(a)
+
+    def scaled(grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(grid, factor, out=out)
+        if layout is not None:
+            layout.zero_ring(out)  # 0 * factor is -0 or NaN for some factors
+        return out
+
+    out = Tensor.of_grid(scaled(_grid(a, layout)), layout)
     graph = active_graph()
     if graph is not None:
         a_sink = a.sink
         def backward_fn(g: np.ndarray) -> None:
-            a_sink.accumulate_grad(g * factor)
+            if a_sink is not None:
+                a_sink.accumulate_grad(scaled(g, g), layout, owned=True)
         graph.record("scale", out, backward_fn)
     return out
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    out = Tensor(np.maximum(x.data, 0.0))
+    layout = _layout_of(x)
+    out_grid = np.maximum(_grid(x, layout), 0.0)
+    out = Tensor.of_grid(out_grid, layout)
     graph = active_graph()
     if graph is not None:
         x_sink = x.sink
         def backward_fn(g: np.ndarray) -> None:
-            x_sink.accumulate_grad(g * mask)
+            # relu(x) > 0 exactly where x > 0 (NaN included), so the output is the mask
+            if x_sink is not None:
+                x_sink.accumulate_grad(np.multiply(g, out_grid > 0.0, out=g), layout, owned=True)
         graph.record("relu", out, backward_fn)
     return out
 
@@ -84,13 +219,16 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
                 f"concat_channels: axis {axis} differs ({a.shape[axis]} vs {b.shape[axis]})"
             )
     split = a.shape[1]
-    out = Tensor(np.concatenate((a.data, b.data), axis=1))
+    layout = _layout_of(a, b)
+    out = Tensor.of_grid(np.concatenate((_grid(a, layout), _grid(b, layout))), layout)
     graph = active_graph()
     if graph is not None:
         a_sink, b_sink = a.sink, b.sink
         def backward_fn(g: np.ndarray) -> None:
-            a_sink.accumulate_grad(g[:, :split])
-            b_sink.accumulate_grad(g[:, split:])
+            if a_sink is not None:
+                a_sink.accumulate_grad(g[:split], layout, owned=True)
+            if b_sink is not None:
+                b_sink.accumulate_grad(g[split:], layout, owned=True)
         graph.record("concat_channels", out, backward_fn)
     return out
 
@@ -98,7 +236,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute difference over all elements (scalar output)."""
     _require_equal_shapes("l1_loss", pred, target)
-    diff = pred.data - target.data
+    # C order: the mean then sums the elements in the same order whatever pred's layout
+    diff = np.subtract(pred.data, target.data, order="C")
     out = Tensor(np.mean(np.abs(diff)))
     graph = active_graph()
     if graph is not None:
@@ -107,25 +246,23 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
         pred_sink, target_sink = pred.sink, target.sink
         def backward_fn(g: np.ndarray) -> None:
             contribution = (g * inv) * sign
-            pred_sink.accumulate_grad(contribution)
-            target_sink.accumulate_grad(-contribution)
+            if pred_sink is not None:
+                pred_sink.accumulate_grad(contribution)
+            if target_sink is not None:
+                target_sink.accumulate_grad(-contribution)
         graph.record("l1_loss", out, backward_fn)
     return out
 
 
-# OpenBLAS (measured with 1 against 2 threads) splits a GEMM whose column count is not a multiple
-# of 8, or whose inner axis is long, differently per thread count, and so rounds differently.
-# conv2d's column counts are multiples of ALIGN, and its dW GEMMs sum fixed DW_BLOCK-column
-# blocks in order, so its bytes do not depend on the thread count.
-ALIGN = 64
-DW_BLOCK = 4096
-
-
-def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T, summed over DW_BLOCK-column blocks of their shared axis in a fixed order."""
-    out = np.matmul(a[:, :DW_BLOCK], b[:, :DW_BLOCK].T)
-    for start in range(DW_BLOCK, a.shape[1], DW_BLOCK):
-        out += np.matmul(a[:, start:start + DW_BLOCK], b[:, start:start + DW_BLOCK].T)
+def _matmul_nt(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out + a @ b.T (a @ b.T without out), summed over DW_BLOCK-column blocks of their shared
+    axis in order."""
+    for start in range(0, a.shape[1], DW_BLOCK):
+        block = np.matmul(a[:, start:start + DW_BLOCK], b[:, start:start + DW_BLOCK].T)
+        if out is None:
+            out = block
+        else:
+            out += block
     return out
 
 
@@ -139,55 +276,88 @@ def _stack(grid: np.ndarray, offsets: list[int] | range, width: int) -> np.ndarr
     return np.concatenate([grid[:, offset:offset + width] for offset in offsets])
 
 
-def _correlate(taps: np.ndarray, grid: np.ndarray, wp: int,
-               out: np.ndarray) -> np.ndarray | None:
-    """out[:, r] = sum_{i, j} taps[i, j] @ grid[:, r + i*wp + j] for every column r of out.
+def _gather(grid: np.ndarray, kh: int, kw: int, wp: int, start: int, width: int,
+            thin_in: bool) -> np.ndarray:
+    """The stack a correlation of output columns start..start+width builds of grid: every tap's
+    slice for a thin input, tap-major (kh*kw*C, width); otherwise the kw slices of a kernel row,
+    (kh-1)*wp columns wider, (kw*C, width + (kh-1)*wp)."""
+    if thin_in:
+        return _stack(grid, [start + offset for offset in _offsets(kh, kw, wp)], width)
+    return _stack(grid, range(start, start + kw), width + (kh - 1) * wp)
 
-    taps is (kh, kw, Co, Ci) and grid (Ci, ·), at least out's width plus (kh-1)*wp + kw-1
-    columns. The GEMM layout follows the tap shape, so that each GEMM passes over the wide side
-    once. A thin input (2*Ci <= Co) is one (Co, kh*kw*Ci) GEMM on the stacked shifted slices of
-    the grid. A thin output (2*Co <= Ci) is one (kh*kw*Co, Ci) GEMM over the whole grid whose
-    row blocks are summed shifted. Otherwise the kw taps of a kernel row are stacked once, as
-    kw slices of the grid (kh-1)*wp columns wider than out, and each kernel row is one
-    (Co, kw*Ci) GEMM on its wp-shifted window of that stack. Returns the stack built of the
-    grid's slices (tap-major for a thin input, row-major otherwise), or None.
+
+def _correlate(taps: np.ndarray, grid: np.ndarray, wp: int, start: int,
+               out: np.ndarray) -> np.ndarray | None:
+    """out[:, r] = sum_{i, j} taps[i, j] @ grid[:, start + r + i*wp + j] for every column r of out.
+
+    taps is (kh, kw, Co, Ci) and grid (Ci, ·), at least start plus out's width plus
+    (kh-1)*wp + kw-1 columns, rounded up to ALIGN. The GEMM layout follows the tap shape, so that
+    each GEMM passes over the wide side once. A thin input (2*Ci <= Co) is one (Co, kh*kw*Ci)
+    GEMM on the stacked shifted slices of the grid. A thin output (2*Co <= Ci) is one
+    (kh*kw*Co, Ci) GEMM over the grid columns the taps reach, whose row blocks are summed
+    shifted. Otherwise each kernel row is one (Co, kw*Ci) GEMM on its wp-shifted window of the
+    kernel-row stack. Returns the stack (see _gather), or None for a thin output.
     """
     kh, kw, c_out, c_in = taps.shape
     width = out.shape[1]
-    offsets = _offsets(kh, kw, wp)
-    if 2 * c_in <= c_out:
-        stack = _stack(grid, offsets, width)
-        np.matmul(taps.transpose(2, 0, 1, 3).reshape(c_out, -1), stack, out=out)
-        return stack
-    if 2 * c_out <= c_in:
-        products = np.matmul(taps.reshape(-1, c_in), grid).reshape(kh * kw, c_out, -1)
+    thin_in = 2 * c_in <= c_out
+    if not thin_in and 2 * c_out <= c_in:
+        offsets = _offsets(kh, kw, wp)
+        reach = grid[:, start:start + _aligned(width + offsets[-1])]
+        products = np.matmul(taps.reshape(-1, c_in), reach).reshape(kh * kw, c_out, -1)
         out[...] = products[0, :, :width]
         for t in range(1, kh * kw):
             out += products[t, :, offsets[t]:offsets[t] + width]
         return None
-    rows = _stack(grid, range(kw), width + (kh - 1) * wp)
+    stack = _gather(grid, kh, kw, wp, start, width, thin_in)
+    if thin_in:
+        np.matmul(taps.transpose(2, 0, 1, 3).reshape(c_out, -1), stack, out=out)
+        return stack
     row_taps = taps.transpose(0, 2, 1, 3).reshape(kh, c_out, kw * c_in)
-    np.matmul(row_taps[0], rows[:, :width], out=out)
+    np.matmul(row_taps[0], stack[:, :width], out=out)
     prod = np.empty_like(out)
     for i in range(1, kh):
-        out += np.matmul(row_taps[i], rows[:, i * wp:i * wp + width], out=prod)
-    return rows
+        out += np.matmul(row_taps[i], stack[:, i * wp:i * wp + width], out=prod)
+    return stack
+
+
+def _tiles(span: int) -> list[tuple[int, int]]:
+    """(start, stop) of each TILE of the span's output columns."""
+    return [(start, min(start + TILE, span)) for start in range(0, span, TILE)]
+
+
+def _bias_grad(g: np.ndarray, layout: Layout) -> np.ndarray:
+    """The (N, H, W) sums of a gradient grid, per channel, added as numpy sums a C-contiguous
+    (N, C, H, W) array: image by image, each image's H*W values pairwise."""
+    image = np.empty((g.shape[0], layout.h, layout.w))
+    sums = []
+    for values in layout.interior(g):
+        image[...] = values
+        sums.append(image.reshape(len(image), -1).sum(axis=1))
+    return sum(sums[1:], sums[0])
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
     """Batched 2-D cross-correlation; see the module docstring for the formula.
 
-    Each tap (di, dj) is one column slice of the zero-padded channel-major (Cin, N*Hp*Wp) grid,
-    whose column (b*Hp + i)*Wp + j is pixel (b, i, j): output column r reads input column
-    r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every stride-th. The
-    forward is `_correlate` of the taps over that grid. dX is `_correlate` of the flipped,
-    transposed taps over the upstream gradient shifted right by the last offset: input column q
-    gathers output column q - (di*Wp + dj) through tap (di, dj), read at grid column
-    q + ((kh-1-di)*Wp + kw-1-dj), which is flipped tap (kh-1-di, kw-1-dj)'s own offset.
-    dW of a thin input stacks the input's shifted slices as the forward does. Otherwise dW reuses
-    the stack that dX built of the upstream gradient (every tap for a thin output, the kernel
-    rows for C -> C): each of its wp-shifted windows is one GEMM against the input grid, and
-    gives the taps of one kernel row, or all of them, in flipped order.
+    Each tap (di, dj) is one column slice of the input's grid: padded column q of the grid
+    (column q + lead) is pixel (b, i, j) for q = (b*Hp + i)*Wp + j, and output column r reads
+    padded column r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every
+    stride-th. The forward is `_correlate` of the taps over the padded columns. A same conv
+    (stride 1, kh = kw = 2*pad + 1) writes output column r at grid column r + 2*lead of its
+    output grid, which is where the output's layout puts that pixel; any other conv writes a
+    scratch grid and copies the kept columns out.
+
+    dX is `_correlate` of the flipped, transposed taps over the upstream gradient laid out with
+    output column r at column r + last (last = the last tap's offset), which a same conv's
+    gradient grid already is: input column q gathers output column q - (di*Wp + dj) through tap
+    (di, dj), read at column q + ((kh-1-di)*Wp + kw-1-dj), which is flipped tap
+    (kh-1-di, kw-1-dj)'s own offset. Its result, padded column q, lands at column q + lead of a
+    grid laid out like the input's. dW of a thin input stacks the input's shifted slices as the
+    forward does. Otherwise dW reuses the stack that dX built of the upstream gradient (every tap
+    for a thin output, the kernel rows for C -> C): each of its wp-shifted windows is one GEMM
+    against the input's padded columns, and gives the taps of one kernel row, or all of them, in
+    flipped order. Every stack and product is built one TILE of output columns at a time.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N, C, H, W), got shape {x.shape}")
@@ -215,54 +385,75 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
     w_out = (wp - kw) // stride + 1
     offsets = _offsets(kh, kw, wp)
     last = offsets[-1]
-    # Both correlations write span columns, every pixel column rounded up to ALIGN, from a grid
-    # of last more columns, rounded up, so that every tap's slice lies inside it. Grid columns
-    # that hold no pixel are zero.
-    span = -(-(n * hp * wp) // ALIGN) * ALIGN
-    cols = np.zeros((cin, -(-(span + last) // ALIGN) * ALIGN))
+    if x.layout is not None and x.layout.pad == pad and x.layout.last >= last:
+        in_layout, grid = x.layout, x.grid
+    else:
+        in_layout = Layout(n, h, w, pad, last)
+        grid = in_layout.embed(x.data)
+    # both correlations write span columns, every padded column rounded up to ALIGN
+    span = in_layout.span
+    out_layout = Layout.same(n, h_out, w_out, pad)
+    same = stride == 1 and (h_out, w_out) == (h, w)
     taps = weight.data.transpose(2, 3, 0, 1)
-    thin_in, thin_out = 2 * cin <= cout, 2 * cout <= cin
+    thin_in = 2 * cin <= cout
 
-    def pixels(grid: np.ndarray) -> np.ndarray:
-        """The (C, N, Hp, Wp) pixels of a (C, ·) column grid, as a view."""
-        return grid[:, :n * hp * wp].reshape(-1, n, hp, wp)
+    def valid(cols: np.ndarray) -> np.ndarray:
+        """The (C, N, h_out, w_out) output pixels of columns laid out as the padded input."""
+        pixels = cols[:, :n * hp * wp].reshape(-1, n, hp, wp)
+        return pixels[:, :, :stride * h_out:stride, :stride * w_out:stride]
 
-    def valid(grid: np.ndarray) -> np.ndarray:
-        """The (C, N, h_out, w_out) output pixels of a column grid."""
-        return pixels(grid)[:, :, :stride * h_out:stride, :stride * w_out:stride]
-
-    pixels(cols)[:, :, pad:pad + h, pad:pad + w] = x.data.transpose(1, 0, 2, 3)
-    # acc and d_cols are as wide as the grids, so that every (C, ·) buffer of a conv has one size
-    # and the allocator reuses its blocks instead of mapping fresh pages each step
-    acc = np.empty((cout, cols.shape[1]))
-    _correlate(taps, cols, wp, acc[:, :span])
+    cols = grid[:, in_layout.lead:]
+    y = np.empty((cout, out_layout.width))
+    acc = y[:, last:] if same else np.empty((cout, _aligned(span + last)))
+    for start, stop in _tiles(span):
+        _correlate(taps, cols, wp, start, acc[:, start:stop])
     acc[:, :span] += bias.data[:, None]
-    out = Tensor(valid(acc).transpose(1, 0, 2, 3))
+    if not same:
+        out_layout.interior(y)[...] = valid(acc).transpose(1, 0, 2, 3)
+    out_layout.zero_ring(y)
+    out = Tensor.of_grid(y, out_layout)
 
     graph = active_graph()
     if graph is not None:
         x_sink, weight_sink, bias_sink = x.sink, weight.sink, bias.sink
         def backward_fn(g: np.ndarray) -> None:
-            bias_sink.accumulate_grad(g.sum(axis=(0, 2, 3)))
-            # output column r sits at g_grid column last + r; every other column is zero
-            g_grid = np.zeros((cout, cols.shape[1]))
-            valid(g_grid[:, last:])[...] = g.transpose(1, 0, 2, 3)
-            g_span = g_grid[:, last:last + span]
+            bias_sink.accumulate_grad(_bias_grad(g, out_layout))
+            if same:
+                g_cols = g  # output column r already sits at column r + last
+            else:
+                g_cols = np.zeros((cout, _aligned(span + last)))
+                valid(g_cols[:, last:])[...] = out_layout.interior(g).transpose(1, 0, 2, 3)
+            flipped = taps[::-1, ::-1].transpose(0, 1, 3, 2)
+            rows = 1 if 2 * cout <= cin else kh  # windows of dX's stack that dW reads
+            d_w = [None] * rows
+            if x_sink is not None:
+                d_grid = np.empty((cin, in_layout.width))
+                d_cols = d_grid[:, in_layout.lead:]
+            for start, stop in _tiles(span):
+                width = stop - start
+                if thin_in:
+                    stack = _gather(cols, kh, kw, wp, start, width, True)
+                    d_w[0] = _matmul_nt(g_cols[:, last + start:last + stop], stack, d_w[0])
+                    del stack  # dX's products below reuse its block
+                if x_sink is not None:
+                    stack = _correlate(flipped, g_cols, wp, start, d_cols[:, start:stop])
+                elif not thin_in:
+                    stack = _gather(g_cols, kh, kw, wp, start, width, 2 * cout <= cin)
+                if not thin_in:
+                    # block j of window di*wp of dX's stack is the upstream gradient shifted
+                    # right by the offset of tap (kh-1-di, kw-1-j); a thin output's stack is
+                    # one window
+                    for di in range(rows):
+                        d_w[di] = _matmul_nt(stack[:, di * wp:di * wp + width],
+                                             cols[:, start:stop], d_w[di])
+                stack = None
             if thin_in:
-                d_w = _matmul_nt(g_span, _stack(cols, offsets, span))
-                d_w = d_w.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-            d_cols = np.empty_like(cols)
-            g_stack = _correlate(taps[::-1, ::-1].transpose(0, 1, 3, 2), g_grid, wp,
-                                 d_cols[:, :span])
-            if not thin_in:
-                # block j of window di*wp of dX's stack is the upstream gradient shifted right by
-                # the offset of tap (kh-1-di, kw-1-j); a thin output's stack is one window
-                d_w = np.stack([_matmul_nt(g_stack[:, di * wp:di * wp + span], cols[:, :span])
-                                for di in range(1 if thin_out else kh)])
-                d_w = d_w.reshape(kh, kw, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1)
-            del g_grid, g_span, g_stack  # x's gradient below reuses their blocks
+                d_w = d_w[0].reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+            else:
+                d_w = np.stack(d_w).reshape(kh, kw, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1)
             weight_sink.accumulate_grad(d_w)
-            d_x = pixels(d_cols)[:, :, pad:pad + h, pad:pad + w]
-            x_sink.accumulate_grad(d_x.transpose(1, 0, 2, 3))
+            if x_sink is not None:
+                in_layout.zero_ring(d_grid)
+                x_sink.accumulate_grad(d_grid, in_layout, owned=True)
         graph.record("conv2d", out, backward_fn)
     return out

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -243,6 +246,32 @@ def _run_one_order(cfg: dict[str, object], order: int,
     return report.mean_psnr, report.mean_ssim
 
 
+# the variables that OpenBLAS, OpenMP and MKL read for their thread count when numpy loads them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def worker_pool(jobs: int):
+    """A pool of `jobs` fresh worker processes that each run their BLAS on one thread.
+
+    Workers are spawned, not forked, while the BLAS thread variables are set to 1, so that numpy
+    loads single-threaded in each of them and the workers do not fight over the cores. The
+    calling process keeps its threads and gets its environment back when the pool closes.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def cmd_sweep_order(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = _require_out(args)
@@ -250,7 +279,7 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
     orders = args.orders
     if not orders:
         raise ConfigError("sweep-order needs at least one order")
-    # a process pool starts all of its workers at the first submit, so never more than orders
+    # each submit starts a worker while none is idle, so never more workers than orders
     jobs = max(1, min(args.jobs, len(orders)))
     write_echo(cfg, out_dir)
 
@@ -263,7 +292,7 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
             except Exception as exc:  # mark and continue with other orders
                 failures[order] = str(exc)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with worker_pool(jobs) as pool:
             futures = {pool.submit(_run_one_order, cfg, order, data_dir, out_dir): order
                        for order in orders}
             for future in concurrent.futures.as_completed(futures):

@@ -22,6 +22,7 @@ degrade(clean). Images are plain (C, H, W) float64 arrays throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -45,6 +46,18 @@ KERNEL_KINDS = (KERNEL_BOX, KERNEL_GAUSSIAN, KERNEL_LINEAR_MOTION)
 _CLEAN_STREAM_TAG = 0x636C65616E  # distinct child-stream family for clean images
 
 
+def _require_finite(params: "RainParams | BlurParams", squared: tuple[str, ...] = ()) -> None:
+    """Refuse a float field that is not finite, or one in `squared` whose doubled square is not:
+    the synthesis squares those (a streak's length and width), and an overflow there would
+    write NaN pixels."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "float" and not math.isfinite(
+                2.0 * value * value if f.name in squared else value):
+            kind = "too large to square" if math.isfinite(value) else "not finite"
+            raise ValueError(f"{f.name} is {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RainParams:
     count_min: int = 4
@@ -58,6 +71,7 @@ class RainParams:
     streak_sigma: float = 0.7
 
     def __post_init__(self):
+        _require_finite(self, squared=("length_min", "length_max", "streak_sigma"))
         if self.count_min < 0 or self.count_max < self.count_min:
             raise ValueError(
                 f"streak count range [{self.count_min}, {self.count_max}] is invalid"
@@ -78,6 +92,7 @@ class BlurParams:
     noise_sigma: float = 0.01
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kernel_kind!r}")
         if self.kernel_size < 1 or self.kernel_size % 2 != 1:

@@ -182,7 +182,7 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
                 f"{entry.degraded_file} is {height}x{width}, smaller than the "
                 f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
             )
-        restored = np.clip(model.forward(Tensor(degraded[None])).output.data[0], 0.0, 1.0)
+        restored = np.clip(model.forward(Tensor.constant(degraded[None])).output.data[0], 0.0, 1.0)
         row = MetricRow(
             index=entry.index,
             file=entry.degraded_file,

@@ -20,6 +20,8 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
     """Write a (3, H, W) array with values in [0, 1]."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise FormatError(f"PPM image must have shape (3, H, W), got {image.shape}")
+    if not np.isfinite(image).all():
+        raise FormatError("PPM values must be finite")
     if image.min() < 0.0 or image.max() > 1.0:
         raise FormatError(
             f"PPM values must lie in [0, 1], got range [{image.min()!r}, {image.max()!r}]"

@@ -180,7 +180,8 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
 
 def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: int,
                        rng: SplitMix64) -> tuple[Tensor, Tensor]:
-    """(degraded, clean) batch of co-located random crops, (B, C, p, p)."""
+    """(degraded, clean) batch of co-located random crops, (B, C, p, p), as constants: training
+    computes no gradient for either."""
     channels = corpus[0].clean.shape[0]
     degraded = np.empty((batch_size, channels, patch_size, patch_size))
     clean = np.empty_like(degraded)
@@ -197,7 +198,7 @@ def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: i
         window = (slice(None), slice(top, top + patch_size), slice(left, left + patch_size))
         degraded[i] = image.degraded[window]
         clean[i] = image.clean[window]
-    return Tensor(degraded), Tensor(clean)
+    return Tensor.constant(degraded), Tensor.constant(clean)
 
 
 # Checkpoint metadata and config keys describing a model: key -> (part, field, parser).
@@ -358,7 +359,8 @@ def pin_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, both above the largest temporary of a
-    # paper-default step (a 31 MiB kernel-row stack in conv2d)
+    # paper-default step (a 10 MiB 32-channel activation or gradient grid; conv2d's tap
+    # stacks are built per tile, 6 MiB at most)
     mallopt(-1, 1 << 30)
     mallopt(-3, 128 << 20)
 

@@ -40,6 +40,16 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)), **extra)
 
 
+def blas_threads() -> tuple[dict[str, str | None], int]:
+    """(the BLAS thread variables, the threads of this process) after a GEMM big enough for
+    a multi-threaded BLAS to start its threads; importable by a spawned worker."""
+    from taylor_restore.cli import BLAS_THREAD_VARIABLES
+    a = np.ones((512, 512))
+    np.matmul(a, a)
+    return ({name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+            len(os.listdir("/proc/self/task")))
+
+
 @pytest.hookimpl(trylast=True)
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env
+from conftest import blas_threads, child_env
 from taylor_restore import cli, trainer
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.cli import main
@@ -144,6 +144,24 @@ def test_blur_settings_that_make_no_kernel_are_config_errors(tmp_path, sets):
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sets", [
+    ["--kind", "blur", "--set", "data.blur.kernel=linear_motion",
+     "--set", "data.blur.noise_sigma=nan"],
+    ["--kind", "blur", "--set", "data.blur.kernel=linear_motion",
+     "--set", "data.blur.motion_angle=inf"],
+    ["--kind", "rain", "--set", "data.rain.length_max=1e300"],
+    ["--kind", "rain", "--set", "data.rain.streak_sigma=nan"],
+])
+def test_non_finite_degradation_settings_are_config_errors(tmp_path, capsys, sets):
+    """A setting that is not finite, or whose square overflows, would synthesize NaN pixels."""
+    out = tmp_path / "data"
+    assert main(["synthesize", "--out", str(out), "--count", "2",
+                 "--set", "data.image_size=16", *sets]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.ppm"))
 
 
 def test_failed_resynthesis_leaves_no_manifest(tmp_path, capsys, monkeypatch):
@@ -753,8 +771,9 @@ def test_sweep_pool_never_exceeds_the_order_count(tmp_path, monkeypatch, orders,
     class InlineExecutor:
         """Records max_workers and runs each submitted call at once, in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             created.append(max_workers)
+            assert mp_context.get_start_method() == "spawn"
 
         def __enter__(self):
             return self
@@ -774,3 +793,15 @@ def test_sweep_pool_never_exceeds_the_order_count(tmp_path, monkeypatch, orders,
                  "--jobs", str(jobs), "--seed", "3", *sweep_sets()]) == 0
     assert created == pools
     assert len((out / "sweep.tsv").read_text().splitlines()) == 1 + rows
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+def test_sweep_workers_run_one_blas_thread():
+    """A sweep worker loads numpy with one BLAS thread; the calling process keeps its own
+    environment."""
+    before = {name: os.environ.get(name) for name in cli.BLAS_THREAD_VARIABLES}
+    with cli.worker_pool(2) as pool:
+        variables, threads = pool.submit(blas_threads).result()
+    assert variables == dict.fromkeys(cli.BLAS_THREAD_VARIABLES, "1")
+    assert threads == 1
+    assert {name: os.environ.get(name) for name in cli.BLAS_THREAD_VARIABLES} == before

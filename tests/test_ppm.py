@@ -113,3 +113,6 @@ def test_writer_rejects_bad_inputs(tmp_path):
         write_ppm(np.full((3, 2, 2), 1.2), path)  # out of range
     with pytest.raises(FormatError):
         write_ppm(np.full((3, 2, 2), -0.1), path)
+    with pytest.raises(FormatError, match="finite"):
+        write_ppm(np.full((3, 2, 2), np.nan), path)  # passes both range comparisons
+    assert not path.exists()

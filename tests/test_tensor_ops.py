@@ -20,7 +20,7 @@ from taylor_restore.autodiff import (
     relu,
     scale,
 )
-from taylor_restore.autodiff import ops
+from taylor_restore.autodiff import ops, tensor
 
 
 # --- tensor basics ----------------------------------------------------------
@@ -82,6 +82,10 @@ FORWARD_CASES = [
     dict(x=(2, 3, 9, 8), w=(4, 3, 5, 3), pad=2, stride=2),
     dict(x=(1, 4, 8, 11), w=(3, 4, 3, 5), pad=1, stride=3),
     dict(x=(2, 3, 6, 7), w=(3, 3, 3, 3), pad=3, stride=1),
+    # spans of 10,368 columns, more than one TILE, in each layout
+    dict(x=(2, 2, 70, 70), w=(2, 2, 3, 3), pad=1, stride=1),
+    dict(x=(2, 1, 70, 70), w=(2, 1, 3, 3), pad=1, stride=1),
+    dict(x=(2, 2, 70, 70), w=(1, 2, 3, 3), pad=1, stride=1),
 ]
 
 
@@ -137,6 +141,11 @@ BACKWARD_CASES = [
     dict(x=(2, 3, 5, 6), w=(4, 3, 3, 3), pad=3, stride=1),
     dict(x=(2, 2, 6, 5), w=(3, 2, 5, 3), pad=4, stride=1),
     dict(x=(2, 2, 40, 60), w=(2, 2, 5, 3), pad=1, stride=1),
+    # spans of 10,368 columns, more than one TILE, in each layout, and one kept at stride 2
+    dict(x=(2, 2, 70, 70), w=(2, 2, 3, 3), pad=1, stride=1),
+    dict(x=(2, 1, 70, 70), w=(2, 1, 3, 3), pad=1, stride=1),
+    dict(x=(2, 2, 70, 70), w=(1, 2, 3, 3), pad=1, stride=1),
+    dict(x=(2, 2, 70, 70), w=(2, 2, 3, 3), pad=1, stride=2),
 ]
 
 
@@ -172,14 +181,35 @@ class PoisonedNumpy:
         return np.full_like(prototype, np.nan)
 
 
+@pytest.mark.parametrize("w_shape", [(2, 2, 3, 3), (2, 1, 3, 3), (1, 2, 3, 3)])
+def test_tiles_keep_the_bytes_of_one_pass_over_the_span(monkeypatch, w_shape):
+    """A span of 10,368 columns runs as two tiles; its output and every gradient have the same
+    bytes as with the whole span as one tile, since a tile is two whole dW blocks."""
+    cout, cin = w_shape[:2]
+
+    def run():
+        x = rand_tensor(80, (2, cin, 70, 70))
+        w, b = rand_tensor(81, w_shape), rand_tensor(82, (cout,))
+        with Graph() as graph:
+            out = conv2d(x, w, b, pad=1)
+            loss = weighted_sum(graph, out, rand_tensor(83, out.shape).data)
+        backward(loss, graph)
+        return [t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)]
+
+    tiled = run()
+    monkeypatch.setattr(ops, "TILE", 1 << 30)
+    assert run() == tiled
+
+
 @pytest.mark.parametrize("oracle_test, case", [
     *[(test_conv2d_matches_loop_oracle, case) for case in FORWARD_CASES],
     *[(test_conv2d_backward_matches_loop_oracle, case) for case in BACKWARD_CASES],
 ])
 def test_conv2d_reads_no_unwritten_scratch(monkeypatch, oracle_test, case):
     """conv2d leaves the scratch columns past its last output unwritten: with every
-    `np.empty` in `ops` NaN-filled, outputs and gradients still match the oracles."""
+    `np.empty` in `ops` and `tensor` NaN-filled, outputs and gradients still match the oracles."""
     monkeypatch.setattr(ops, "np", PoisonedNumpy())
+    monkeypatch.setattr(tensor, "np", PoisonedNumpy())
     oracle_test(case)
 
 
@@ -509,3 +539,102 @@ def test_a_record_closing_over_an_op_output_reaches_its_slot():
     backward(loss, graph)
     assert x.grad.tolist() == [1.5, 6.0]
     assert y.grad is None and y.slot.grad is None
+
+
+# --- grid layout -----------------------------------------------------------------
+
+def ring_bytes(grid, layout):
+    """The bytes of every grid column that holds no value (all +0.0 when the ring is zero)."""
+    ring = grid.copy()
+    layout.interior(ring)[...] = 0.0
+    return ring.tobytes()
+
+
+class RingCheckedGraph(Graph):
+    """A Graph that checks the ring of every gradient grid it hands a closure."""
+
+    __slots__ = ("checked",)
+
+    def __init__(self):
+        super().__init__()
+        self.checked = []
+
+    def record(self, name, output, backward_fn):
+        layout = output.layout
+
+        def checked(g):
+            if layout is not None:
+                self.checked.append(name)
+                assert ring_bytes(g, layout) == bytes(g.nbytes), name
+            backward_fn(g)
+        super().record(name, output, checked)
+
+
+@given(n=st.integers(1, 2), h=st.integers(2, 6), w=st.integers(2, 6), pad=st.integers(0, 2),
+       poison=st.booleans())
+def test_every_grid_ring_is_zero(n, h, w, pad, poison):
+    """The ring of every op output and of every gradient grid (dX included) holds +0.0 only,
+    also when relu meets NaN."""
+    k = 2 * pad + 1
+    x = rand_tensor(50, (n, 2, h, w))
+    if poison:
+        x.data[0, 0, 0, 0] = np.nan
+    w1, b1 = rand_tensor(51, (3, 2, k, k)), rand_tensor(52, (3,))
+    w2, b2 = rand_tensor(53, (2, 3, 3, 3)), rand_tensor(54, (2,))
+    outputs = []
+
+    def keep(t):
+        outputs.append(t)
+        return t
+
+    with RingCheckedGraph() as graph:
+        h1 = keep(relu(keep(conv2d(x, w1, b1, pad=pad))))
+        h2 = keep(add(keep(conv2d(h1, w2, b2, pad=1)), x))
+        h3 = keep(concat_channels(keep(scale(h2, -2.0)), h1))
+        loss = l1_loss(h3, Tensor.constant(np.zeros(h3.shape)))
+    for t in outputs:
+        assert ring_bytes(t.grid, t.layout) == bytes(t.grid.nbytes)
+    assert np.isnan(h1.data).any() == poison
+    backward(loss, graph)
+    assert graph.checked.count("conv2d") == 2 and "relu" in graph.checked
+
+
+def test_a_conv_keeps_its_input_grid_not_a_copy():
+    x = rand_tensor(60, (2, 3, 5, 6))
+    w1, b1 = rand_tensor(61, (4, 3, 3, 3)), rand_tensor(62, (4,))
+    w2, b2 = rand_tensor(63, (4, 4, 3, 3)), rand_tensor(64, (4,))
+    with Graph() as graph:
+        r = relu(conv2d(x, w1, b1, pad=1))
+        s = add(r, conv2d(r, w2, b2, pad=1))
+        conv2d(s, w2, b2, pad=1)
+    (_, _, relu_fn), (_, _, conv_r_fn), (_, _, _), (_, _, conv_s_fn) = graph._records[1:]
+
+    def arrays(fn):
+        return [c.cell_contents for c in fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+
+    # the conv reading r keeps (a view of) r's grid, and relu's adjoint reads that same array
+    assert any(np.shares_memory(a, r.data) for a in arrays(conv_r_fn))
+    assert any(a is r.grid for a in arrays(relu_fn))
+    assert any(np.shares_memory(a, s.data) for a in arrays(conv_s_fn))
+    for name, _, fn in graph._records:
+        assert not any(a is r.data or a is s.data for a in arrays(fn)), name
+
+
+def test_constant_inputs_take_no_gradient():
+    w, b = rand_tensor(70, (4, 3, 3, 3)), rand_tensor(71, (4,))
+
+    def grads(make):
+        x, y = make(rand_tensor(72, (2, 3, 5, 6)).data), make(rand_tensor(73, (2, 4, 5, 6)).data)
+        w.grad = b.grad = None
+        with Graph() as graph:
+            h = concat_channels(conv2d(x, w, b, pad=1), y)
+            loss = l1_loss(add(h, h), Tensor(np.zeros(h.shape)))
+        backward(loss, graph)
+        return x, y, (w.grad.tobytes(), b.grad.tobytes())
+
+    x, y, leaf_grads = grads(Tensor)
+    assert x.grad is not None and y.grad is not None
+    x, y, constant_grads = grads(Tensor.constant)
+    assert x.grad is None and y.grad is None
+    assert constant_grads == leaf_grads

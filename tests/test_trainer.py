@@ -187,6 +187,28 @@ def test_sampling_is_deterministic():
     assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_a_step_leaves_the_batch_without_gradients():
+    """The batch is constant: a step computes no gradient for it, and the parameter gradients
+    have the same bytes as a step whose batch is made of ordinary leaves."""
+    corpus = ramp_corpus(count=2, size=12)
+    model = Model.init(MappingSpec(channels=4, blocks=1), DerivativeSpec(channels=6),
+                       ComposerConfig(order=2), seed=5)
+
+    def step(degraded, clean):
+        model.params.zero_grads()
+        with Graph() as graph:
+            total = framework_loss_terms(model.forward(degraded), clean, model.composer)[0]
+        backward(total, graph)
+        return [tensor.grad.tobytes() for tensor in model.params.tensors()]
+
+    degraded, clean = sample_patch_batch(corpus, 8, 3, SplitMix64(4))
+    constant_grads = step(degraded, clean)
+    assert degraded.grad is None and clean.grad is None
+    leaves = Tensor(degraded.data), Tensor(clean.data)
+    assert step(*leaves) == constant_grads
+    assert leaves[0].grad is not None and leaves[1].grad is not None
+
+
 def test_too_small_image_names_the_file():
     corpus = ramp_corpus(count=1, size=8)
     with pytest.raises(ValueError, match="img0 is 8x8, smaller than patch size 9"):
