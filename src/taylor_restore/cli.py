@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="train a model; writes loss.tsv and checkpoints")
     p_train.add_argument("--data", type=Path, metavar="DIR", help="corpus directory")
     p_train.add_argument("--resume", type=Path, metavar="CKPT",
-                         help="checkpoint to resume from")
+                         help="checkpoint to resume from, or 'latest': the newest "
+                              "ckpt_epoch*.bin in --out that loads")
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate a checkpoint; writes metrics.tsv")
@@ -180,11 +181,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         raise ConfigError(f"data.image_size must be >= 1, got {size}")
     spec = degradation_spec_from(cfg)
     write_echo(cfg, out_dir)
-    cleans = [
-        generate_clean(size, size, corpus_clean_seed(spec.seed, index))
-        for index in range(count)
-    ]
-    make_corpus(cleans, spec, count, out_dir)
+    cleans = (generate_clean(size, size, corpus_clean_seed(spec.seed, index))
+              for index in range(count))
+    make_corpus(cleans, spec, out_dir)
     print(f"synthesized {count} samples (kind={spec.kind}, seed={spec.seed}) -> {_shown(out_dir)}")
     return EXIT_OK
 
@@ -196,11 +195,29 @@ def _train(cfg: dict[str, object], data_dir: Path, out_dir: Path,
                  composer_config_from(cfg), train_config_from(cfg), out_dir, resume_from=resume)
 
 
+def _latest_checkpoint(out_dir: Path) -> Path:
+    """The newest ``ckpt_epoch*.bin`` in `out_dir` that loads. Names compare by length, then
+    text, so epoch 10000 comes after 9999. A file that does not load is named on stderr and
+    skipped; when none loads, a ConfigError names the directory."""
+    newest_first = sorted(out_dir.glob("ckpt_epoch*.bin"),
+                          key=lambda path: (len(path.name), path.name), reverse=True)
+    for path in newest_first:
+        try:
+            load_checkpoint(path)
+        except (FormatError, OSError) as exc:
+            print(f"--resume latest: skipping {_shown(path)}: {exc}", file=sys.stderr)
+            continue
+        return path
+    raise ConfigError(f"--resume latest: no checkpoint in {_shown(out_dir)} loads")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = _require_out(args)
     data_dir = _require_path(cfg, "paths.data", "--data")
     resume = cfg["paths.resume"] or None
+    if resume == "latest":
+        resume = _latest_checkpoint(out_dir)
     write_echo(cfg, out_dir)
     final = _train(cfg, data_dir, out_dir, resume)
     print(f"trained {cfg['train.epochs']} epochs -> {_shown(final)}")

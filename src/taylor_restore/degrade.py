@@ -17,12 +17,15 @@ A corpus directory holds clean_%06d.ppm / degraded_%06d.ppm pairs plus
 manifest.tsv (index, files, kind, per-sample seed, then the fields of the
 active RainParams or BlurParams as provenance columns). Clean inputs are
 quantized to the 8-bit grid before degradation so the pair on disk is exactly
-degrade(clean). Images are plain (C, H, W) float64 arrays throughout.
+degrade(clean). Images are plain (C, H, W) float64 arrays throughout; a
+corpus is written one pair per clean image as the images arrive, so writing
+it holds one image at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -297,20 +300,19 @@ def _quantize_to_grid(image: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(image, 0.0, 1.0) * 255.0 + 0.5) / 255.0
 
 
-def make_corpus(cleans: list[np.ndarray], spec: DegradationSpec, count: int,
+def make_corpus(cleans: Iterable[np.ndarray], spec: DegradationSpec,
                 out_dir: str | Path) -> Path:
-    """Write `count` degraded pairs and a manifest; returns the directory.
+    """Write one degraded pair per clean image and a manifest; returns the directory.
 
-    Sample i uses clean image cleans[i % len(cleans)] (snapped to the 8-bit
-    grid first) and per-sample seed derive_stream(spec.seed, i). An earlier
-    manifest.tsv is removed before the first image is written and the new one
-    is put in place atomically after the last, so a run that fails or is
-    killed part way leaves no manifest over a mix of old and new images.
+    `cleans` is consumed lazily: each image is snapped to the 8-bit grid,
+    degraded and written before the next one is drawn, so a generator keeps
+    one clean image alive at a time. Sample i uses the i-th image and
+    per-sample seed derive_stream(spec.seed, i). An earlier manifest.tsv is
+    removed before the first image is written and the new one is put in place
+    atomically after the last, so a run that fails or is killed part way
+    leaves no manifest over a mix of old and new images. No image at all is a
+    ValueError, and leaves no manifest.
     """
-    if count < 1:
-        raise ValueError(f"corpus count must be >= 1, got {count}")
-    if not cleans:
-        raise ValueError("make_corpus needs at least one clean image")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = spec.rain if spec.kind == KIND_RAIN else spec.blur
@@ -319,9 +321,9 @@ def make_corpus(cleans: list[np.ndarray], spec: DegradationSpec, count: int,
     lines = ["\t".join(["index", "clean", "degraded", "kind", "seed"] + param_names)]
     manifest = out_dir / "manifest.tsv"
     manifest.unlink(missing_ok=True)
-    for index in range(count):
+    for index, image in enumerate(cleans):
         sample_seed = derive_stream(spec.seed, index)
-        clean = _quantize_to_grid(cleans[index % len(cleans)])
+        clean = _quantize_to_grid(image)
         sample = synthesize_sample(clean, replace(spec, seed=sample_seed))
         clean_name = f"clean_{index:06d}.ppm"
         degraded_name = f"degraded_{index:06d}.ppm"
@@ -331,6 +333,8 @@ def make_corpus(cleans: list[np.ndarray], spec: DegradationSpec, count: int,
             [str(index), clean_name, degraded_name, spec.kind, str(sample_seed)]
             + param_values
         ))
+    if len(lines) == 1:
+        raise ValueError("make_corpus needs at least one clean image")
     write_atomic(manifest, ("\n".join(lines) + "\n").encode("ascii"))
     return out_dir
 

@@ -159,8 +159,9 @@ class MetricReport:
 def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     """Full-image inference over a corpus; returns per-image and mean metrics.
 
-    The restored output is clamped to [0, 1] before computing metrics (files
-    on disk are 8-bit anyway). Rows follow manifest index order. An image with
+    Each pair's 8-bit samples are divided by 255.0, one pair at a time. The
+    restored output is clamped to [0, 1] before computing metrics (files on
+    disk are 8-bit anyway). Rows follow manifest index order. An image with
     another channel count than the model's, or smaller than the SSIM window,
     is a FormatError.
     """
@@ -170,7 +171,7 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     report = MetricReport()
     psnr_sum, ssim_sum = 0.0, 0.0
     for entry in entries:
-        clean, degraded = read_pair(corpus_dir, entry)
+        clean, degraded = (samples / 255.0 for samples in read_pair(corpus_dir, entry))
         channels, height, width = clean.shape
         if channels != model.mapping.in_channels:
             raise FormatError(

@@ -2,9 +2,11 @@
 
 Written header is exactly ``P6\\n{width} {height}\\n255\\n`` followed by
 height*width RGB byte triples in row-major order. Floats in [0, 1] are
-quantized with round-half-up: byte = floor(v * 255 + 0.5); reading maps a
-byte back to byte / 255. The reader tolerates '#' comments and arbitrary
-whitespace between header tokens, but only magic P6 with maxval 255.
+quantized with round-half-up: byte = floor(v * 255 + 0.5). Reading returns
+the bytes themselves as (3, H, W) uint8 samples, an eighth of their float64
+size; a consumer that computes on them divides by 255.0, so byte b stands for
+b / 255. The reader tolerates '#' comments and arbitrary whitespace between
+header tokens, but only magic P6 with maxval 255.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _read_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a P6 file into a (3, H, W) float64 array with values in [0, 1]."""
+    """Read a P6 file into its (3, H, W) uint8 samples, a C-contiguous array of its own."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P"):
         raise FormatError(f"{path}: not a PPM file")
@@ -75,10 +77,10 @@ def read_ppm(path: str | Path) -> np.ndarray:
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, need 255")
     expected = 3 * width * height
-    payload = blob[payload_start:payload_start + expected]
+    payload = memoryview(blob)[payload_start:payload_start + expected]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: truncated pixel data ({len(payload)} of {expected} bytes)"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.ascontiguousarray(pixels.transpose(2, 0, 1))

@@ -149,6 +149,8 @@ def adam_step(params: ParamSet, state: AdamState, lr: float,
 
 @dataclass
 class CorpusImage:
+    """One training pair as its files hold it: (3, H, W) uint8 samples each, which
+    ``sample_patch_batch`` turns into floats one crop at a time."""
     clean: np.ndarray
     degraded: np.ndarray
     file: str
@@ -167,6 +169,8 @@ def read_pair(corpus_dir: Path, entry: ManifestEntry) -> tuple[np.ndarray, np.nd
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
+    """Every pair the manifest lists, in its order, kept as the 8-bit samples ``read_ppm``
+    returns: 3·H·W bytes an image, an eighth of the images as float64."""
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir / "manifest.tsv")
     if not entries:
@@ -181,7 +185,8 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusImage]:
 def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: int,
                        rng: SplitMix64) -> tuple[Tensor, Tensor]:
     """(degraded, clean) batch of co-located random crops, (B, C, p, p), as constants: training
-    computes no gradient for either."""
+    computes no gradient for either. Each uint8 crop is divided by 255.0 straight into its
+    float64 slot, the same division as ``read_ppm(f) / 255.0``, so the batch keeps its bytes."""
     channels = corpus[0].clean.shape[0]
     degraded = np.empty((batch_size, channels, patch_size, patch_size))
     clean = np.empty_like(degraded)
@@ -196,8 +201,8 @@ def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: i
         top = rng.randint(height - patch_size + 1)
         left = rng.randint(width - patch_size + 1)
         window = (slice(None), slice(top, top + patch_size), slice(left, left + patch_size))
-        degraded[i] = image.degraded[window]
-        clean[i] = image.clean[window]
+        np.divide(image.degraded[window], 255.0, out=degraded[i])
+        np.divide(image.clean[window], 255.0, out=clean[i])
     return Tensor.constant(degraded), Tensor.constant(clean)
 
 

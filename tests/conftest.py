@@ -86,9 +86,8 @@ def write_rain_corpus(out_dir: Path, count: int, size: int, seed: int,
                       rain: RainParams | None = None) -> Path:
     """Small on-disk corpus of procedural clean images with rain streaks."""
     spec = DegradationSpec(kind="rain", seed=seed, rain=rain)
-    cleans = [generate_clean(size, size, corpus_clean_seed(seed, i))
-              for i in range(count)]
-    return make_corpus(cleans, spec, count, out_dir)
+    cleans = (generate_clean(size, size, corpus_clean_seed(seed, i)) for i in range(count))
+    return make_corpus(cleans, spec, out_dir)
 
 
 # --- brute-force metric oracles -------------------------------------------

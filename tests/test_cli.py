@@ -434,6 +434,52 @@ def test_train_resume_flag(tmp_path):
         == (cont / "ckpt_epoch0004.bin").read_bytes()
 
 
+EVERY_EPOCH = ["--set", "train.checkpoint_every=1"]
+
+
+def test_resume_latest_resumes_from_the_newest_checkpoint(tmp_path):
+    """`--resume latest` takes the highest epoch in --out and writes the bytes of a resume that
+    names that file. The older checkpoints come from another seed, so a resume from one of
+    them would write other bytes."""
+    data = synthesize(tmp_path / "data")
+    run, other, named = tmp_path / "run", tmp_path / "other", tmp_path / "named"
+    assert main(train_args(data, run, epochs=3, extra=EVERY_EPOCH)) == 0
+    assert main(train_args(data, other, epochs=2, extra=[*EVERY_EPOCH, "--seed", "4"])) == 0
+    for name in ("ckpt_epoch0001.bin", "ckpt_epoch0002.bin"):
+        shutil.copy(other / name, run / name)
+    shutil.copytree(run, named)
+    assert main(train_args(data, run, epochs=4, extra=["--resume", "latest"])) == 0
+    assert main(train_args(data, named, epochs=4,
+                           extra=["--resume", str(named / "ckpt_epoch0003.bin")])) == 0
+    for name in ("loss.tsv", "ckpt_epoch0004.bin"):
+        assert (run / name).read_bytes() == (named / name).read_bytes(), name
+
+
+def test_resume_latest_skips_a_checkpoint_that_does_not_load(tmp_path, capsys):
+    data = synthesize(tmp_path / "data")
+    run, named = tmp_path / "run", tmp_path / "named"
+    assert main(train_args(data, run, epochs=3, extra=EVERY_EPOCH)) == 0
+    shutil.copytree(run, named)
+    newest = run / "ckpt_epoch0003.bin"
+    newest.write_bytes(newest.read_bytes()[:-9])
+    capsys.readouterr()
+    assert main(train_args(data, run, epochs=4, extra=["--resume", "latest"])) == 0
+    assert f"skipping {newest}: " in capsys.readouterr().err
+    assert main(train_args(data, named, epochs=4,
+                           extra=["--resume", str(named / "ckpt_epoch0002.bin")])) == 0
+    for name in ("loss.tsv", "ckpt_epoch0004.bin"):
+        assert (run / name).read_bytes() == (named / name).read_bytes(), name
+
+
+def test_resume_latest_without_a_checkpoint_is_config_error(tmp_path, capsys):
+    data = synthesize(tmp_path / "data")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(train_args(data, empty, extra=["--resume", "latest"])) == 2
+    assert f"no checkpoint in {empty} loads" in capsys.readouterr().err
+    assert not list(empty.iterdir())
+
+
 @pytest.mark.parametrize("sets, message", [
     # the first differing key is named: lambda comes before variant
     (["composer.variant=concat_only", "composer.lambda=0.5"],

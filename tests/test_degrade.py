@@ -2,6 +2,7 @@
 blur kernels with exact mass, and byte-stable corpus regeneration."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -245,10 +246,36 @@ def test_corpus_layout_and_manifest(tmp_path):
 ])
 def test_manifest_provenance_columns_are_the_param_fields(tmp_path, kind, columns, values):
     """The columns after the seed name the fields of the kind's params and hold their values."""
-    out = make_corpus([generate_clean(12, 12, 1)], DegradationSpec(kind=kind), 1, tmp_path / "c")
+    out = make_corpus([generate_clean(12, 12, 1)], DegradationSpec(kind=kind), tmp_path / "c")
     header, row = (out / "manifest.tsv").read_text().splitlines()
     assert header.split("\t")[5:] == columns.split()
     assert row.split("\t")[5:] == values.split()
+
+
+def test_make_corpus_writes_each_clean_image_before_drawing_the_next(tmp_path):
+    """A generator of clean images is consumed one image at a time: image i's pair is on disk
+    when image i + 1 is drawn, and image i is garbage by the time image i + 2 is drawn."""
+    out = tmp_path / "c"
+    refs = []
+
+    def cleans():
+        for i in range(5):
+            if i >= 1:
+                assert (out / f"degraded_{i - 1:06d}.ppm").is_file()
+            if i >= 2:
+                assert refs[i - 2]() is None, f"image {i - 2} alive when image {i} is drawn"
+            image = generate_clean(12, 12, i)
+            refs.append(weakref.ref(image))
+            yield image
+
+    make_corpus(cleans(), DegradationSpec(kind="rain"), out)
+    assert len(read_manifest(out / "manifest.tsv")) == 5
+
+
+def test_make_corpus_without_images_writes_no_manifest(tmp_path):
+    with pytest.raises(ValueError, match="at least one clean image"):
+        make_corpus(iter(()), DegradationSpec(kind="blur"), tmp_path / "c")
+    assert not (tmp_path / "c" / "manifest.tsv").exists()
 
 
 def test_corpus_regeneration_is_byte_identical(tmp_path):
@@ -279,7 +306,7 @@ def test_corpus_prefix_is_stable_under_count(tmp_path):
 
 def test_corpus_clean_files_are_quantised_cleans(tmp_path):
     out = write_rain_corpus(tmp_path / "c", count=1, size=20, seed=15)
-    stored = read_ppm(out / "clean_000000.ppm")
+    stored = read_ppm(out / "clean_000000.ppm") / 255.0
     raw = generate_clean(20, 20, corpus_clean_seed(15, 0))
     snapped = np.floor(raw * 255.0 + 0.5) / 255.0
     assert float(np.abs(stored - snapped).max()) <= 1e-12
@@ -290,8 +317,8 @@ def test_degraded_pairs_with_stored_clean(tmp_path):
     # stored degraded image exactly (after the same 8-bit snap)
     out = write_rain_corpus(tmp_path / "c", count=2, size=24, seed=18)
     for entry in read_manifest(out / "manifest.tsv"):
-        clean = read_ppm(out / entry.clean_file)
-        degraded = read_ppm(out / entry.degraded_file)
+        clean = read_ppm(out / entry.clean_file) / 255.0
+        degraded = read_ppm(out / entry.degraded_file) / 255.0
         resynth = synth_rain(clean, rain_spec(entry.seed))
         requantised = np.floor(resynth.degraded * 255.0 + 0.5) / 255.0
         assert float(np.abs(degraded - requantised).max()) <= 1e-12

@@ -2,6 +2,7 @@
 may fail only with FormatError (exit 3 at the CLI); a config file only with
 ConfigError (exit 2), never with another exception."""
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,12 @@ VALID_PPM = b"P6\n5 4\n255\n" + bytes(range(60))
 
 def read_ppm_or_format_error(path):
     try:
-        image = read_ppm(path)
+        samples = read_ppm(path)
     except FormatError:
         return
-    assert image.shape[0] == 3 and 0.0 <= image.min() <= image.max() <= 1.0
+    image = samples / 255.0
+    assert samples.dtype == np.uint8 and image.shape[0] == 3
+    assert 0.0 <= image.min() <= image.max() <= 1.0
 
 
 def edited(blob: bytes, data) -> bytes:

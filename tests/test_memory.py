@@ -1,13 +1,66 @@
-"""A fixed memory budget for one paper-default training step, so that a change which brings
-back a full-span temporary (a tap stack, a padded copy, a saved mask) fails here."""
+"""Fixed memory budgets, as tracemalloc peaks: one paper-default training step, so that a change
+which brings back a full-span temporary (a tap stack, a padded copy, a saved mask) fails here;
+and the image memory of loading a corpus, training on it and synthesizing one, so that a change
+which keeps images as floats or holds a whole corpus in memory fails here."""
 
+import concurrent.futures
+import multiprocessing
 import tracemalloc
+from pathlib import Path
+
+import pytest
 
 from conftest import rand_array
 from taylor_restore.autodiff import Graph, Tensor, backward
+from taylor_restore.cli import main
 from taylor_restore.composer import ComposerConfig, framework_loss_terms
 from taylor_restore.networks import DerivativeSpec, MappingSpec
-from taylor_restore.trainer import Model
+from taylor_restore.runconfig import (
+    composer_config_from,
+    derivative_spec_from,
+    effective_config,
+    mapping_spec_from,
+    parse_config_text,
+    train_config_from,
+)
+from taylor_restore.trainer import Model, load_corpus, train
+
+PRESET = Path(__file__).resolve().parents[1] / "configs" / "desk_rain.cfg"
+
+# 64 pairs of 64x64: 1.57 MB as uint8 samples; they read 12.6 MB as float64.
+CORPUS_PEAK_MB = 2.0
+# One desk-preset epoch over that corpus measured 8.8 MB, and 19.8 MB with a float64 corpus.
+DESK_EPOCH_PEAK_MB = 11.0
+# Each 64 px clean image is 98 KB as float64; 32 of them held at once read 2.8 MB above 4.
+SYNTHESIS_GROWTH_MB = 0.5
+
+
+def traced_peak_mb(call, *args) -> float:
+    """The tracemalloc peak of call(*args); importable by a spawned worker."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def fresh_peak_mb(call, *args) -> float:
+    """traced_peak_mb of call(*args) in a fresh spawned process. The suite's own process has
+    grown interpreter-wide tables by then, and a one-off resize of one of them landed 1.9 MB
+    in a synthesis measured there; a fresh process repeats the same history every time."""
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(traced_peak_mb, call, *args).result(timeout=300)
+
+
+def desk_epoch(corpus: Path, out: Path) -> None:
+    """One desk-preset training epoch on `corpus`, with only the final checkpoint."""
+    cfg = effective_config(parse_config_text(PRESET.read_text(encoding="utf-8")),
+                           [("train.epochs", "1"), ("train.checkpoint_every", "0")])
+    train(corpus, mapping_spec_from(cfg), derivative_spec_from(cfg), composer_config_from(cfg),
+          train_config_from(cfg), out)
+
 
 # Measured 131.3 MB for this step; the tape holds 117 MB of it, mostly the conv input grids.
 # Whole-span tap stacks (one tile per span) read 140.8 MB, and the step before activations
@@ -29,3 +82,27 @@ def test_paper_default_step_stays_within_its_memory_budget():
         tracemalloc.stop()
     assert all(tensor.grad is not None for tensor in model.params.tensors())
     assert peak_mb <= STEP_PEAK_MB
+
+
+@pytest.fixture(scope="module")
+def desk_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("desk") / "corpus"
+    assert main(["synthesize", "--config", str(PRESET), "--count", "64", "--seed", "0",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_a_loaded_corpus_stays_within_its_memory_budget(desk_corpus):
+    assert fresh_peak_mb(load_corpus, desk_corpus) <= CORPUS_PEAK_MB
+
+
+def test_a_desk_epoch_stays_within_its_memory_budget(desk_corpus, tmp_path):
+    assert fresh_peak_mb(desk_epoch, desk_corpus, tmp_path) <= DESK_EPOCH_PEAK_MB
+
+
+def test_synthesis_memory_does_not_grow_with_the_count(tmp_path):
+    def peak(count):
+        return fresh_peak_mb(main, ["synthesize", "--count", str(count), "--seed", "0", "--set",
+                                    "data.image_size=64", "--out", str(tmp_path / str(count))])
+
+    assert abs(peak(32) - peak(4)) <= SYNTHESIS_GROWTH_MB

@@ -21,7 +21,7 @@ def test_roundtrip_error_is_at_most_half_a_level(tmp_path):
     img = rand_array(1, (3, 6, 7), 0.0, 1.0)
     path = tmp_path / "img.ppm"
     write_ppm(img, path)
-    back = read_ppm(path)
+    back = read_ppm(path) / 255.0
     assert back.shape == img.shape
     assert float(np.abs(back - img).max()) <= 0.5 / 255.0 + 1e-12
 
@@ -47,7 +47,7 @@ def test_grid_values_roundtrip_exactly(tmp_path):
     img = levels.reshape(3, 16, 16)
     path = tmp_path / "grid.ppm"
     write_ppm(img, path)
-    back = read_ppm(path)
+    back = read_ppm(path) / 255.0
     assert np.array_equal(back, img)
 
 
@@ -56,7 +56,7 @@ def test_write_read_write_is_byte_stable(tmp_path):
     first = tmp_path / "a.ppm"
     second = tmp_path / "b.ppm"
     write_ppm(img, first)
-    write_ppm(read_ppm(first), second)
+    write_ppm(read_ppm(first) / 255.0, second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -65,9 +65,9 @@ def test_reader_tolerates_comments_and_whitespace(tmp_path):
     payload = bytes(range(24))
     path.write_bytes(b"P6\n# a comment\n 4\t2 # inline\n255\n" + payload)
     img = read_ppm(path)
-    assert img.shape == (3, 2, 4)
-    assert img[0, 0, 0] == 0.0
-    assert img.max() == 23 / 255.0
+    assert img.shape == (3, 2, 4) and img.dtype == np.uint8
+    assert img[:, 0, 0].tolist() == [0, 1, 2]
+    assert img.max() == 23
 
 
 def test_reader_rejects_wrong_magic(tmp_path):

@@ -14,6 +14,7 @@ from taylor_restore import trainer
 from taylor_restore.autodiff import Graph, Tensor, backward, l1_loss
 from taylor_restore.checkpoint import load_checkpoint, save_checkpoint
 from taylor_restore.composer import ComposerConfig, compose_orders, framework_loss_terms
+from taylor_restore.degrade import read_manifest
 from taylor_restore.errors import ConfigError, DivergenceError, FormatError
 from taylor_restore.networks import (
     DerivativeSpec,
@@ -21,7 +22,7 @@ from taylor_restore.networks import (
     forward_mapping,
     init_params,
 )
-from taylor_restore.ppm import write_ppm
+from taylor_restore.ppm import read_ppm, write_ppm
 from taylor_restore.prng import SplitMix64, derive_stream
 from taylor_restore.trainer import (
     LOSS_LOG_HEADER,
@@ -143,10 +144,11 @@ def test_identical_steps_are_bit_identical():
 # --- patch sampling ------------------------------------------------------------------
 
 def ramp_corpus(count=1, size=8):
+    """uint8 images, as load_corpus keeps them, whose samples differ within an image."""
     images = []
     for i in range(count):
-        base = np.arange(3 * size * size, dtype=np.float64).reshape(3, size, size)
-        base = (base + i) / (3 * size * size + count)
+        base = ((np.arange(3 * size * size) + 7 * i) % 256).astype(np.uint8)
+        base = base.reshape(3, size, size)
         images.append(CorpusImage(clean=base, degraded=base.copy(), file=f"img{i}"))
     return images
 
@@ -155,8 +157,8 @@ def test_patch_equal_to_image_returns_whole_image():
     corpus = ramp_corpus(count=1, size=8)
     degraded, clean = sample_patch_batch(corpus, 8, 2, SplitMix64(1))
     assert degraded.shape == (2, 3, 8, 8)
-    assert np.array_equal(degraded.data[0], corpus[0].degraded)
-    assert np.array_equal(clean.data[1], corpus[0].clean)
+    assert np.array_equal(degraded.data[0], corpus[0].degraded / 255.0)
+    assert np.array_equal(clean.data[1], corpus[0].clean / 255.0)
 
 
 def test_patches_are_colocated():
@@ -176,7 +178,7 @@ def test_draw_order_is_index_top_left():
         idx = ref.randint(5)
         top = ref.randint(9 - patch + 1)
         left = ref.randint(9 - patch + 1)
-        expected = corpus[idx].degraded[:, top:top + patch, left:left + patch]
+        expected = corpus[idx].degraded[:, top:top + patch, left:left + patch] / 255.0
         assert np.array_equal(degraded.data[slot], expected)
 
 
@@ -223,6 +225,32 @@ def test_load_corpus_roundtrip(tmp_path):
     assert len(corpus) == 3
     assert corpus[0].clean.shape == (3, 16, 16)
     assert corpus[0].file == "degraded_000000.ppm"
+
+
+def test_corpus_keeps_each_file_as_its_own_uint8_samples(tmp_path):
+    corpus_dir = write_rain_corpus(tmp_path / "c", count=2, size=12, seed=6)
+    for image in load_corpus(corpus_dir):
+        for array, name in ((image.clean, image.file.replace("degraded", "clean")),
+                            (image.degraded, image.file)):
+            assert array.dtype == np.uint8 and array.flags.c_contiguous
+            assert array.nbytes == 3 * 12 * 12 and array.base is None
+            assert np.array_equal(array, read_ppm(corpus_dir / name))
+
+
+@pytest.mark.parametrize("patch", [5, 16])
+def test_batches_are_crops_of_the_files_over_255_byte_for_byte(tmp_path, patch):
+    corpus_dir = write_rain_corpus(tmp_path / "c", count=3, size=16, seed=4)
+    files = [(read_ppm(corpus_dir / entry.degraded_file) / 255.0,
+              read_ppm(corpus_dir / entry.clean_file) / 255.0)
+             for entry in read_manifest(corpus_dir / "manifest.tsv")]
+    degraded, clean = sample_patch_batch(load_corpus(corpus_dir), patch, 6, SplitMix64(9))
+    ref = SplitMix64(9)
+    for slot in range(6):
+        image = files[ref.randint(3)]
+        top, left = ref.randint(16 - patch + 1), ref.randint(16 - patch + 1)
+        window = (slice(None), slice(top, top + patch), slice(left, left + patch))
+        assert degraded.data[slot].tobytes() == image[0][window].tobytes()
+        assert clean.data[slot].tobytes() == image[1][window].tobytes()
 
 
 def test_load_corpus_rejects_mismatched_pair(tmp_path):
