@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, write_atomic
+from .composer import MAX_ORDER
 from .degrade import corpus_clean_seed, generate_clean, make_corpus
 from .errors import ConfigError, DivergenceError, FormatError
 from .metrics import evaluate, format_metric
@@ -60,8 +61,8 @@ def _parse_set_arg(text: str) -> tuple[str, str]:
 
 
 def _parse_orders_arg(text: str) -> list[int]:
-    """Orders as ``LO..HI`` or a comma list; an order listed twice would train twice into one
-    directory."""
+    """Orders as ``LO..HI`` or a comma list, each in [0, MAX_ORDER]; an order listed twice would
+    train twice into one directory."""
     text = text.strip()
     try:
         if ".." in text:
@@ -69,11 +70,15 @@ def _parse_orders_arg(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError("empty range")
-            return list(range(lo, hi + 1))
-        orders = [int(part) for part in text.split(",")]
-        if len(set(orders)) != len(orders):
-            raise ValueError("an order is listed twice")
-        return orders
+            orders, checked = range(lo, hi + 1), (lo, hi)  # a range is checked by its ends
+        else:
+            checked = orders = [int(part) for part in text.split(",")]
+            if len(set(orders)) != len(orders):
+                raise ValueError("an order is listed twice")
+        for order in checked:
+            if not 0 <= order <= MAX_ORDER:
+                raise ValueError(f"order {order} is outside [0, {MAX_ORDER}]")
+        return list(orders)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad orders {text!r}: {exc}") from exc
 
@@ -294,10 +299,10 @@ def cmd_sweep_order(args: argparse.Namespace) -> int:
     out_dir = _require_out(args)
     data_dir = _require_path(cfg, "paths.data", "--data")
     orders = args.orders
-    if not orders:
-        raise ConfigError("sweep-order needs at least one order")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     # each submit starts a worker while none is idle, so never more workers than orders
-    jobs = max(1, min(args.jobs, len(orders)))
+    jobs = min(args.jobs, len(orders))
     write_echo(cfg, out_dir)
 
     results: dict[int, tuple[float, float]] = {}

@@ -3,9 +3,7 @@
 Rain adds a non-negative field of oriented line segments with Gaussian
 cross-section to every channel; blur convolves with a normalized kernel
 (replicate-edge padding, correlation orientation) and adds Gaussian noise.
-In both cases the additive part is kept pre-clamp as the sample's residual,
-so  degraded == clamp(base + residual, 0, 1)  reconstructs by construction
-and exactly equals base + residual wherever no clamping occurred.
+Either result is clamped to [0, 1].
 
 Every sample is generated from its own seed,
 derive_stream(spec.seed, sample_index), so corpus content depends only on
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,22 +110,12 @@ class BlurParams:
 class DegradationSpec:
     kind: str = KIND_RAIN
     seed: int = 0
-    rain: RainParams | None = None
-    blur: BlurParams | None = None
+    rain: RainParams = field(default_factory=RainParams)
+    blur: BlurParams = field(default_factory=BlurParams)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == KIND_RAIN and self.rain is None:
-            object.__setattr__(self, "rain", RainParams())
-        if self.kind == KIND_BLUR and self.blur is None:
-            object.__setattr__(self, "blur", BlurParams())
-
-
-@dataclass
-class DegradationSample:
-    degraded: np.ndarray
-    residual: np.ndarray  # additive part, recorded before clamping
 
 
 def _segment_offsets(xs: np.ndarray, ys: np.ndarray, ax: float, ay: float,
@@ -145,7 +133,7 @@ def _segment_offsets(xs: np.ndarray, ys: np.ndarray, ax: float, ay: float,
 
 
 def _streak_field(height: int, width: int, params: RainParams, rng: SplitMix64) -> np.ndarray:
-    field = np.zeros((height, width))
+    streaks = np.zeros((height, width))
     span = params.count_max - params.count_min + 1
     count = params.count_min + rng.randint(span)
     two_sigma_sq = 2.0 * params.streak_sigma * params.streak_sigma
@@ -168,19 +156,15 @@ def _streak_field(height: int, width: int, params: RainParams, rng: SplitMix64) 
         ys, xs = np.mgrid[y0:y1, x0:x1]
         dist_x, dist_y = _segment_offsets(xs, ys, ax, ay, bx, by)
         dist_sq = dist_x * dist_x + dist_y * dist_y
-        field[y0:y1, x0:x1] += intensity * np.exp(-dist_sq / two_sigma_sq)
-    return field
+        streaks[y0:y1, x0:x1] += intensity * np.exp(-dist_sq / two_sigma_sq)
+    return streaks
 
 
-def synth_rain(clean: np.ndarray, spec: DegradationSpec) -> DegradationSample:
-    """Add an oriented-streak field; residual is the field itself (>= 0)."""
-    if spec.kind != KIND_RAIN:
-        raise ValueError(f"synth_rain needs kind={KIND_RAIN!r}, got {spec.kind!r}")
-    channels, height, width = clean.shape
-    rng = SplitMix64(spec.seed)
-    field = _streak_field(height, width, spec.rain, rng)
-    residual = np.broadcast_to(field, (channels, height, width)).copy()
-    return DegradationSample(degraded=np.clip(clean + residual, 0.0, 1.0), residual=residual)
+def synth_rain(clean: np.ndarray, params: RainParams, seed: int) -> np.ndarray:
+    """clean plus one non-negative oriented-streak field in every channel, clamped."""
+    _, height, width = clean.shape
+    streaks = _streak_field(height, width, params, SplitMix64(seed))
+    return np.clip(clean + streaks, 0.0, 1.0)
 
 
 def make_blur_kernel(params: BlurParams) -> np.ndarray:
@@ -229,23 +213,18 @@ def _correlate_replicate(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.tensordot(windows, kernel, axes=([3, 4], [0, 1]))
 
 
-def synth_blur(clean: np.ndarray, spec: DegradationSpec) -> DegradationSample:
-    """Blur with the configured kernel, add Gaussian noise; residual is the noise."""
-    if spec.kind != KIND_BLUR:
-        raise ValueError(f"synth_blur needs kind={KIND_BLUR!r}, got {spec.kind!r}")
-    channels, height, width = clean.shape
-    blurred = _correlate_replicate(clean, make_blur_kernel(spec.blur))
-    rng = SplitMix64(spec.seed)
-    noise = spec.blur.noise_sigma * rng.gaussians(channels * height * width).reshape(
-        channels, height, width
-    )
-    return DegradationSample(degraded=np.clip(blurred + noise, 0.0, 1.0), residual=noise)
+def synth_blur(clean: np.ndarray, params: BlurParams, seed: int) -> np.ndarray:
+    """clean blurred with the configured kernel plus Gaussian noise, clamped."""
+    blurred = _correlate_replicate(clean, make_blur_kernel(params))
+    noise = params.noise_sigma * SplitMix64(seed).gaussians(clean.size).reshape(clean.shape)
+    return np.clip(blurred + noise, 0.0, 1.0)
 
 
-def synthesize_sample(clean: np.ndarray, spec: DegradationSpec) -> DegradationSample:
+def synthesize_sample(clean: np.ndarray, spec: DegradationSpec) -> np.ndarray:
+    """The degraded image of `clean` under spec's kind, parameters and seed."""
     if spec.kind == KIND_RAIN:
-        return synth_rain(clean, spec)
-    return synth_blur(clean, spec)
+        return synth_rain(clean, spec.rain, spec.seed)
+    return synth_blur(clean, spec.blur, spec.seed)
 
 
 def generate_clean(height: int, width: int, seed: int) -> np.ndarray:
@@ -324,11 +303,11 @@ def make_corpus(cleans: Iterable[np.ndarray], spec: DegradationSpec,
     for index, image in enumerate(cleans):
         sample_seed = derive_stream(spec.seed, index)
         clean = _quantize_to_grid(image)
-        sample = synthesize_sample(clean, replace(spec, seed=sample_seed))
+        degraded = synthesize_sample(clean, replace(spec, seed=sample_seed))
         clean_name = f"clean_{index:06d}.ppm"
         degraded_name = f"degraded_{index:06d}.ppm"
         write_ppm(clean, out_dir / clean_name)
-        write_ppm(sample.degraded, out_dir / degraded_name)
+        write_ppm(degraded, out_dir / degraded_name)
         lines.append("\t".join(
             [str(index), clean_name, degraded_name, spec.kind, str(sample_seed)]
             + param_values

@@ -1,6 +1,6 @@
 """Restoration quality metrics and corpus evaluation.
 
-PSNR: 10 * log10(peak^2 / MSE) with peak 1.0; identical images give +inf,
+PSNR: 10 * log10(1 / MSE), for images in [0, 1]; identical images give +inf,
 which every TSV in this package prints as the string "inf".
 
 SSIM: the windowed form with an 11x11 Gaussian window (sigma 1.5, normalized
@@ -11,8 +11,8 @@ to sum 1), K1 = 0.01, K2 = 0.03, and Gaussian-weighted moments
     ssim = (2 mu_x mu_y + C1)(2 cov + C2)
            / ((mu_x^2 + mu_y^2 + C1)(var_x + var_y + C2))
 
-averaged over every fully-interior window position and, for multi-channel
-images, over channels.
+averaged over every fully-interior window position and over channels.
+Both metrics take (C, H, W) arrays.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ def format_metric(value: float) -> str:
     return repr(float(value))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"psnr: shapes differ ({a.shape} vs {b.shape})")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
@@ -89,7 +89,7 @@ def _window_means(rows: np.ndarray) -> np.ndarray:
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean SSIM between two (H, W) or (C, H, W) arrays in [0, 1].
+    """Mean SSIM between two (C, H, W) arrays in [0, 1].
 
     The maps a, b, a^2 + b^2 and ab of every channel are stacked, so the
     separable window is banded GEMMs over all of them at once: along W, then
@@ -98,26 +98,21 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError(f"ssim: shapes differ ({a.shape} vs {b.shape})")
-    if a.ndim == 2:
-        planes_a, planes_b = a[None], b[None]
-    elif a.ndim == 3:
-        planes_a, planes_b = a, b
-    else:
-        raise ShapeError(f"ssim expects (H, W) or (C, H, W), got {a.shape}")
-    channels, height, width = planes_a.shape
+    if a.ndim != 3:
+        raise ShapeError(f"ssim expects (C, H, W), got {a.shape}")
+    channels, height, width = a.shape
     if height < SSIM_WINDOW or width < SSIM_WINDOW:
         raise ShapeError(
             f"ssim needs spatial extent >= {SSIM_WINDOW}, got {height}x{width}"
         )
-    maps = np.stack([planes_a, planes_b, planes_a * planes_a + planes_b * planes_b,
-                     planes_a * planes_b])
+    maps = np.stack([a, b, a * a + b * b, a * b])
     across = _window_means(maps.reshape(-1, width))
     across = across.reshape(4 * channels, height, -1).transpose(0, 2, 1)
     moments = _window_means(across.reshape(-1, height))
     mu_a, mu_b, squares, product = moments.reshape(4, channels, -1, moments.shape[1])[
         ..., :width - SSIM_WINDOW + 1, :height - SSIM_WINDOW + 1]
-    c1 = (SSIM_K1 * 1.0) ** 2
-    c2 = (SSIM_K2 * 1.0) ** 2
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     mu_ab = mu_a * mu_b
     mu_sq = mu_a * mu_a + mu_b * mu_b
     score = ((2.0 * mu_ab + c1) * (2.0 * (product - mu_ab) + c2)) / (

@@ -186,18 +186,14 @@ def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: i
                        rng: SplitMix64) -> tuple[Tensor, Tensor]:
     """(degraded, clean) batch of co-located random crops, (B, C, p, p), as constants: training
     computes no gradient for either. Each uint8 crop is divided by 255.0 straight into its
-    float64 slot, the same division as ``read_ppm(f) / 255.0``, so the batch keeps its bytes."""
+    float64 slot, the same division as ``read_ppm(f) / 255.0``, so the batch keeps its bytes.
+    Every image must be at least patch_size on each side, which ``train`` checks first."""
     channels = corpus[0].clean.shape[0]
     degraded = np.empty((batch_size, channels, patch_size, patch_size))
     clean = np.empty_like(degraded)
     for i in range(batch_size):
         image = corpus[rng.randint(len(corpus))]
         _, height, width = image.clean.shape
-        if height < patch_size or width < patch_size:
-            raise ValueError(
-                f"image {image.file} is {height}x{width}, smaller than patch "
-                f"size {patch_size}"
-            )
         top = rng.randint(height - patch_size + 1)
         left = rng.randint(width - patch_size + 1)
         window = (slice(None), slice(top, top + patch_size), slice(left, left + patch_size))

@@ -85,7 +85,7 @@ def weighted_sum(graph: Graph, out: Tensor, weights: np.ndarray | float = 1.0) -
 def write_rain_corpus(out_dir: Path, count: int, size: int, seed: int,
                       rain: RainParams | None = None) -> Path:
     """Small on-disk corpus of procedural clean images with rain streaks."""
-    spec = DegradationSpec(kind="rain", seed=seed, rain=rain)
+    spec = DegradationSpec(kind="rain", seed=seed, rain=rain or RainParams())
     cleans = (generate_clean(size, size, corpus_clean_seed(seed, i)) for i in range(count))
     return make_corpus(cleans, spec, out_dir)
 

@@ -6,9 +6,11 @@ import importlib
 import os
 import resource
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +473,42 @@ def test_resume_latest_skips_a_checkpoint_that_does_not_load(tmp_path, capsys):
         assert (run / name).read_bytes() == (named / name).read_bytes(), name
 
 
+def test_a_killed_run_resumed_from_latest_writes_the_bytes_of_a_continuous_one(tmp_path):
+    """A desk train child is SIGKILLed as soon as a checkpoint exists (the first in one run, the
+    second in another), which the poll below sees mid-run, then resumed with --resume latest.
+    Its loss log and final checkpoint equal those of a run that was never killed, whatever part
+    of the next epoch the kill cut short."""
+    preset = Path(__file__).resolve().parents[1] / "configs" / "desk_rain.cfg"
+    data = synthesize(tmp_path / "data", count=16, size=40, extra=["--config", str(preset)])
+
+    def train_command(out, *extra):
+        return [sys.executable, "-m", "taylor_restore", "train", "--config", str(preset),
+                "--data", str(data), "--out", str(out), "--seed", "3",
+                "--set", "train.epochs=4", "--set", "train.checkpoint_every=1", *extra]
+
+    continuous = tmp_path / "continuous"
+    proc = subprocess.run(train_command(continuous), capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    for kill_at in ("ckpt_epoch0001.bin", "ckpt_epoch0002.bin"):
+        killed = tmp_path / kill_at
+        child = subprocess.Popen(train_command(killed), stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL, env=child_env())
+        try:
+            while not (killed / kill_at).exists() and child.poll() is None:
+                time.sleep(0.002)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL, f"the run ended before {kill_at}"
+        assert not (killed / "ckpt_epoch0004.bin").exists()
+        proc = subprocess.run(train_command(killed, "--resume", "latest"), capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        for name in ("loss.tsv", "ckpt_epoch0004.bin"):
+            assert (killed / name).read_bytes() == (continuous / name).read_bytes(), name
+
+
 def test_resume_latest_without_a_checkpoint_is_config_error(tmp_path, capsys):
     data = synthesize(tmp_path / "data")
     empty = tmp_path / "empty"
@@ -785,17 +823,26 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
             == (parallel / f"order_{order}" / "loss.tsv").read_bytes()
 
 
-def test_sweep_marks_failed_orders(tmp_path, capsys):
+def test_sweep_marks_failed_orders(tmp_path, capsys, monkeypatch):
+    """An order whose run fails is marked in sweep.tsv, and the other orders still run."""
+    train = cli._train
+
+    def train_or_fail(cfg, *args):
+        if cfg["composer.order"] == 2:
+            raise ValueError("order 2 cannot train here")
+        return train(cfg, *args)
+
+    monkeypatch.setattr(cli, "_train", train_or_fail)
     data = synthesize(tmp_path / "data", count=4, size=24, seed=8)
     out = tmp_path / "sweep"
-    rc = main(["sweep-order", "0,9", "--data", str(data), "--out", str(out),
+    rc = main(["sweep-order", "0,2", "--data", str(data), "--out", str(out),
                "--seed", "3", *sweep_sets()])
     assert rc == 1
     lines = (out / "sweep.tsv").read_text().splitlines()
     assert lines[1].split("\t")[0] == "0"
-    assert lines[2] == "9\tFAILED\tFAILED"
+    assert lines[2] == "2\tFAILED\tFAILED"
     captured = capsys.readouterr()
-    assert "order 9 FAILED" in captured.err
+    assert "order 2 FAILED: order 2 cannot train here" in captured.err
 
 
 def test_sweep_refuses_an_order_listed_twice(tmp_path, capsys):
@@ -805,6 +852,26 @@ def test_sweep_refuses_an_order_listed_twice(tmp_path, capsys):
     assert main(["sweep-order", "3,3", "--data", str(data), "--out", str(out),
                  "--jobs", "2", *sweep_sets()]) == 2
     assert "an order is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["9"], "order 9 is outside [0, 8]"),
+    (["0,9"], "order 9 is outside [0, 8]"),
+    (["1..9"], "order 9 is outside [0, 8]"),
+    (["-1"], "order -1 is outside [0, 8]"),
+    (["0..1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+])
+def test_sweep_refuses_an_unsupported_order_or_job_count(tmp_path, capsys, args, message):
+    """Refused before any order trains: an order outside [0, composer.MAX_ORDER], or --jobs
+    below 1."""
+    data = synthesize(tmp_path / "data", count=4, size=24, seed=8)
+    out = tmp_path / "sweep"
+    assert main(["sweep-order", *args, "--data", str(data), "--out", str(out),
+                 *sweep_sets()]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

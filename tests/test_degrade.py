@@ -32,14 +32,12 @@ def make_clean(size=24, seed=5):
     return generate_clean(size, size, seed)
 
 
-def rain_spec(seed, **kwargs):
-    params = RainParams(**kwargs) if kwargs else None
-    return DegradationSpec(kind="rain", seed=seed, rain=params)
+def rain(clean, seed, **kwargs):
+    return synth_rain(clean, RainParams(**kwargs), seed)
 
 
-def blur_spec(seed, **kwargs):
-    params = BlurParams(**kwargs) if kwargs else None
-    return DegradationSpec(kind="blur", seed=seed, blur=params)
+def blur(clean, seed, **kwargs):
+    return synth_blur(clean, BlurParams(**kwargs), seed)
 
 
 # --- clean image generator ----------------------------------------------------
@@ -63,48 +61,36 @@ def test_generate_clean_is_deterministic():
 
 def test_rain_zero_streaks_is_identity():
     clean = make_clean()
-    sample = synth_rain(clean, rain_spec(7, count_min=0, count_max=0))
-    assert np.array_equal(sample.degraded, clean)
-    assert float(np.abs(sample.residual).max()) == 0.0
+    assert np.array_equal(rain(clean, 7, count_min=0, count_max=0), clean)
 
 
-def test_rain_residual_is_nonnegative_and_brightening():
+def test_rain_never_darkens_a_pixel():
     clean = make_clean()
-    sample = synth_rain(clean, rain_spec(11))
-    assert float(sample.residual.min()) >= 0.0
-    assert float(sample.residual.max()) > 0.0
-    assert np.all(sample.degraded >= clean - 1e-12)
+    degraded = rain(clean, 11)
+    assert np.all(degraded >= clean)
+    assert np.any(degraded > clean)
 
 
-def test_rain_reconstruction_identity():
+def test_rain_is_clamped_to_the_unit_range():
     clean = make_clean()
-    sample = synth_rain(clean, rain_spec(13))
-    rebuilt = np.clip(clean + sample.residual, 0.0, 1.0)
-    assert np.array_equal(sample.degraded, rebuilt)
-    assert sample.degraded.min() >= 0.0 and sample.degraded.max() <= 1.0
+    degraded = rain(clean, 13, intensity_min=2.0, intensity_max=2.0)
+    assert degraded.min() >= 0.0 and degraded.max() == 1.0
 
 
 def test_rain_is_deterministic_per_seed():
     clean = make_clean()
-    a = synth_rain(clean, rain_spec(21))
-    b = synth_rain(clean, rain_spec(21))
-    c = synth_rain(clean, rain_spec(22))
-    assert a.degraded.tobytes() == b.degraded.tobytes()
-    assert a.degraded.tobytes() != c.degraded.tobytes()
+    a = rain(clean, 21)
+    b = rain(clean, 21)
+    c = rain(clean, 22)
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
 
 
-def test_rain_residual_is_shared_across_channels():
-    clean = make_clean()
-    sample = synth_rain(clean, rain_spec(31))
-    assert np.array_equal(sample.residual[0], sample.residual[1])
-    assert np.array_equal(sample.residual[0], sample.residual[2])
-
-
-def test_rain_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        synth_rain(make_clean(), blur_spec(1))
-    with pytest.raises(ValueError):
-        synth_blur(make_clean(), rain_spec(1))
+def test_rain_adds_one_field_to_every_channel():
+    degraded = rain(np.full((3, 24, 24), 0.3), 31)
+    assert np.any(degraded > 0.3)
+    assert np.array_equal(degraded[0], degraded[1])
+    assert np.array_equal(degraded[0], degraded[2])
 
 
 def test_rain_params_validation():
@@ -183,40 +169,36 @@ def test_kernel_mass_is_always_one(kind, size, sigma, length, angle):
 
 def test_noiseless_delta_blur_is_identity():
     clean = make_clean()
-    sample = synth_blur(clean, blur_spec(3, kernel_kind="gaussian", sigma=0.3,
-                                         noise_sigma=0.0))
-    assert np.array_equal(sample.degraded, clean)
-    assert float(np.abs(sample.residual).max()) == 0.0
+    assert np.array_equal(blur(clean, 3, kernel_kind="gaussian", sigma=0.3, noise_sigma=0.0),
+                          clean)
 
 
 def test_blur_preserves_constant_images():
     # replicate-edge padding makes blurring exact on constants
     clean = np.full((3, 20, 20), 0.42)
-    sample = synth_blur(clean, blur_spec(5, kernel_kind="gaussian", sigma=1.5,
-                                         noise_sigma=0.0))
-    assert np.allclose(sample.degraded, 0.42, atol=1e-12, rtol=0)
+    degraded = blur(clean, 5, kernel_kind="gaussian", sigma=1.5, noise_sigma=0.0)
+    assert np.allclose(degraded, 0.42, atol=1e-12, rtol=0)
 
 
 def test_blur_is_deterministic_and_noise_uses_seed():
     clean = make_clean()
-    a = synth_blur(clean, blur_spec(8, noise_sigma=0.05))
-    b = synth_blur(clean, blur_spec(8, noise_sigma=0.05))
-    c = synth_blur(clean, blur_spec(9, noise_sigma=0.05))
-    assert a.degraded.tobytes() == b.degraded.tobytes()
-    assert a.degraded.tobytes() != c.degraded.tobytes()
+    a = blur(clean, 8, noise_sigma=0.05)
+    b = blur(clean, 8, noise_sigma=0.05)
+    c = blur(clean, 9, noise_sigma=0.05)
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
 
 
 # --- dispatch ---------------------------------------------------------------------
 
 def test_synthesize_sample_dispatches_on_kind():
     clean = make_clean()
-    spec_r = rain_spec(4)
-    spec_b = blur_spec(4)
-    assert spec_r.rain is not None and spec_r.blur is None
-    assert spec_b.blur is not None and spec_b.rain is None
-    rain = synthesize_sample(clean, spec_r)
-    blur = synthesize_sample(clean, spec_b)
-    assert rain.degraded.tobytes() != blur.degraded.tobytes()
+    rain_params, blur_params = RainParams(count_min=2), BlurParams(kernel_kind="box")
+    for kind, expected in (("rain", synth_rain(clean, rain_params, 4)),
+                           ("blur", synth_blur(clean, blur_params, 4))):
+        spec = DegradationSpec(kind=kind, seed=4, rain=rain_params, blur=blur_params)
+        assert synthesize_sample(clean, spec).tobytes() == expected.tobytes(), kind
+    assert DegradationSpec(kind="blur").rain == RainParams()
     with pytest.raises(ValueError):
         DegradationSpec(kind="fog", seed=1)
 
@@ -319,8 +301,8 @@ def test_degraded_pairs_with_stored_clean(tmp_path):
     for entry in read_manifest(out / "manifest.tsv"):
         clean = read_ppm(out / entry.clean_file) / 255.0
         degraded = read_ppm(out / entry.degraded_file) / 255.0
-        resynth = synth_rain(clean, rain_spec(entry.seed))
-        requantised = np.floor(resynth.degraded * 255.0 + 0.5) / 255.0
+        resynth = rain(clean, entry.seed)
+        requantised = np.floor(resynth * 255.0 + 0.5) / 255.0
         assert float(np.abs(degraded - requantised).max()) <= 1e-12
 
 

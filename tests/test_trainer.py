@@ -211,12 +211,6 @@ def test_a_step_leaves_the_batch_without_gradients():
     assert leaves[0].grad is not None and leaves[1].grad is not None
 
 
-def test_too_small_image_names_the_file():
-    corpus = ramp_corpus(count=1, size=8)
-    with pytest.raises(ValueError, match="img0 is 8x8, smaller than patch size 9"):
-        sample_patch_batch(corpus, 9, 1, SplitMix64(1))
-
-
 # --- corpus loading -------------------------------------------------------------------
 
 def test_load_corpus_roundtrip(tmp_path):
@@ -321,7 +315,8 @@ def test_train_rerun_is_byte_identical(tmp_path):
 
 def test_patch_larger_than_corpus_images_is_config_error(tmp_path):
     corpus_dir = write_rain_corpus(tmp_path / "data", count=2, size=16, seed=8)
-    with pytest.raises(ConfigError, match="smaller than patch size 32"):
+    with pytest.raises(ConfigError,
+                       match="degraded_000000.ppm is 16x16, smaller than patch size 32"):
         train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=1),
               tiny_train_cfg(patch_size=32), tmp_path / "run")
 
