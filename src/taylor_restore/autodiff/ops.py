@@ -2,11 +2,10 @@
 
 Conventions, fixed once here:
 
-* conv2d is cross-correlation (no kernel flip), zero padding, with
+* conv2d is a same cross-correlation (no kernel flip): stride 1, a (2*pad + 1)-square kernel
+  and zero padding, so the output keeps the input's height and width, with
   out[n, o, i, j] = bias[o]
-      + sum_{c, di, dj} x[n, c, i*stride + di - pad, j*stride + dj - pad]
-                        * weight[o, c, di, dj]
-  and output height (H + 2*pad - kh) // stride + 1 (width analogous).
+      + sum_{c, di, dj} x[n, c, i + di - pad, j + dj - pad] * weight[o, c, di, dj].
 * relu's subgradient at exactly 0 is 0. relu passes NaN through (relu(NaN) is
   NaN), so a non-finite activation reaches the loss instead of being zeroed.
 * l1_loss is the mean of |pred - target| over all elements; its subgradient
@@ -16,9 +15,9 @@ Conventions, fixed once here:
 Every 4-D op output (conv2d, relu, add, scale, concat_channels) is an (N, C, H, W) view into a
 channel-major grid (see Layout): a zero ring as wide as the conv pad around each image, the
 padded images flattened into columns, `lead` zero columns before them and a zero tail of at
-least `last` columns after them, rounded up to ALIGN. A conv reads its input's grid in place
-when the ring and margins fit, and builds one only for a plain input such as a batch; a same
-conv writes its products straight into its output grid and re-zeroes the ring. relu, add and
+least `last` = 2*lead columns after them, rounded up to ALIGN. A conv reads its input's grid in
+place when its ring is the conv's pad, and builds one only for a plain input such as a batch; it
+writes its products straight into its output grid and re-zeroes the ring. relu, add and
 scale work on whole grids, whose rings stay zero. Gradients of op outputs live in the same
 grids, so a conv's upstream gradient is the grid its dX correlation reads, and dX is written
 into a grid laid out like the input's. conv2d builds every tap stack and product one TILE of
@@ -64,21 +63,15 @@ class Layout(NamedTuple):
     padded images are flattened into N*Hp*Wp columns, so that padded column (b*Hp + i)*Wp + j is
     pixel (b, i - pad, j - pad). Padded column q sits at grid column q + `lead`, for
     lead = pad*Wp + pad, so pixel (b, i, j) sits at r + 2*lead for r = (b*Hp + i)*Wp + j: where
-    a same conv puts output column r. Zero columns follow up to `lead + aligned(span + last)`,
-    so that a correlation with kernel offsets up to `last` reads inside the grid. Every column
-    but the pixels is zero.
+    a conv puts output column r. Zero columns follow up to `lead + aligned(span + last)`, so
+    that a (2*pad + 1)-square correlation, whose last tap's offset is `last`, reads inside the
+    grid. Every column but the pixels is zero.
     """
 
     n: int
     h: int
     w: int
     pad: int
-    last: int
-
-    @classmethod
-    def same(cls, n: int, h: int, w: int, pad: int) -> "Layout":
-        """The layout whose margins fit a (2*pad + 1)-square conv of the same pad."""
-        return cls(n, h, w, pad, 2 * (pad * (w + 2 * pad) + pad))
 
     @property
     def hp(self) -> int:
@@ -91,6 +84,11 @@ class Layout(NamedTuple):
     @property
     def lead(self) -> int:
         return self.pad * self.wp + self.pad
+
+    @property
+    def last(self) -> int:
+        """The grid column offset of a (2*pad + 1)-square kernel's last tap."""
+        return 2 * self.lead
 
     @property
     def span(self) -> int:
@@ -140,7 +138,7 @@ def _layout_of(*tensors: Tensor) -> Layout | None:
             return tensor.layout
     if tensors[0].ndim == 4:
         n, _, h, w = tensors[0].shape
-        return Layout(n, h, w, 0, 0)
+        return Layout(n, h, w, 0)
     return None
 
 
@@ -327,20 +325,18 @@ def _tiles(span: int) -> list[tuple[int, int]]:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 1) -> Tensor:
-    """Batched 2-D cross-correlation; see the module docstring for the formula.
+    """Batched same 2-D cross-correlation; see the module docstring for the formula. Any stride
+    but 1, any kernel but a (2*pad + 1)-square one, or an image without pixels is a ShapeError.
 
     Each tap (di, dj) is one column slice of the input's grid: padded column q of the grid
     (column q + lead) is pixel (b, i, j) for q = (b*Hp + i)*Wp + j, and output column r reads
-    padded column r + di*Wp + dj. Wrapped columns are dropped and stride > 1 keeps every
-    stride-th. The forward is `_correlate` of the taps over the padded columns. A same conv
-    (stride 1, kh = kw = 2*pad + 1) writes output column r at grid column r + 2*lead of its
-    output grid, which is where the output's layout puts that pixel; any other conv writes a
-    scratch grid and copies the kept columns out.
+    padded column r + di*Wp + dj. The forward is `_correlate` of the taps over the padded
+    columns, writing output column r at grid column r + last = r + 2*lead of the output grid,
+    which is where the output's layout puts that pixel; the wrapped columns land in the ring.
 
-    dX is `_correlate` of the flipped, transposed taps over the upstream gradient laid out with
-    output column r at column r + last (last = the last tap's offset), which a same conv's
-    gradient grid already is: input column q gathers output column q - (di*Wp + dj) through tap
-    (di, dj), read at column q + ((kh-1-di)*Wp + kw-1-dj), which is flipped tap
+    dX is `_correlate` of the flipped, transposed taps over the upstream gradient grid, whose
+    column r + last holds output column r: input column q gathers output column q - (di*Wp + dj)
+    through tap (di, dj), read at column q + ((kh-1-di)*Wp + kw-1-dj), which is flipped tap
     (kh-1-di, kw-1-dj)'s own offset. Its result, padded column q, lands at column q + lead of a
     grid laid out like the input's. dW of a thin input stacks the input's shifted slices as the
     forward does. Otherwise dW reuses the stack that dX built of the upstream gradient (every tap
@@ -360,74 +356,48 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
         raise ShapeError(f"conv2d: input has {cin} channels but weight expects {w_cin}")
     if bias.shape[0] != cout:
         raise ShapeError(f"conv2d: bias has {bias.shape[0]} entries for {cout} output channels")
-    if pad < 0:
-        raise ShapeError(f"conv2d: pad must be >= 0, got {pad}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    if kh > h + 2 * pad:
-        raise ShapeError(f"conv2d: kernel height {kh} exceeds padded input height {h + 2 * pad}")
-    if kw > w + 2 * pad:
-        raise ShapeError(f"conv2d: kernel width {kw} exceeds padded input width {w + 2 * pad}")
+    if stride != 1 or not kh == kw == 2 * pad + 1:
+        raise ShapeError(f"conv2d: only same convs run (stride 1, a (2*pad + 1)-square kernel), "
+                         f"got a {kh}x{kw} kernel at pad {pad} and stride {stride}")
+    if h == 0 or w == 0:
+        raise ShapeError(f"conv2d: input images have no pixels, shape {x.shape}")
 
-    hp, wp = h + 2 * pad, w + 2 * pad
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    offsets = _offsets(kh, kw, wp)
-    last = offsets[-1]
-    if x.layout is not None and x.layout.pad == pad and x.layout.last >= last:
-        in_layout, grid = x.layout, x.grid
-    else:
-        in_layout = Layout(n, h, w, pad, last)
-        grid = in_layout.embed(x.data)
+    layout = Layout(n, h, w, pad)
+    grid = _grid(x, layout)
     # both correlations write span columns, every padded column rounded up to ALIGN
-    span = in_layout.span
-    out_layout = Layout.same(n, h_out, w_out, pad)
-    same = stride == 1 and (h_out, w_out) == (h, w)
+    span, last, wp = layout.span, layout.last, layout.wp
     taps = weight.data.transpose(2, 3, 0, 1)
     thin_in = 2 * cin <= cout
 
-    def valid(cols: np.ndarray) -> np.ndarray:
-        """The (C, N, h_out, w_out) output pixels of columns laid out as the padded input."""
-        pixels = cols[:, :n * hp * wp].reshape(-1, n, hp, wp)
-        return pixels[:, :, :stride * h_out:stride, :stride * w_out:stride]
-
-    cols = grid[:, in_layout.lead:]
-    y = np.empty((cout, out_layout.width))
-    acc = y[:, last:] if same else np.empty((cout, _aligned(span + last)))
+    cols = grid[:, layout.lead:]
+    y = np.empty((cout, layout.width))
     for start, stop in _tiles(span):
-        _correlate(taps, cols, wp, start, acc[:, start:stop])
-    acc[:, :span] += bias.data[:, None]
-    if not same:
-        out_layout.interior(y)[...] = valid(acc).transpose(1, 0, 2, 3)
-    out_layout.zero_ring(y)
-    out = Tensor.of_grid(y, out_layout)
+        _correlate(taps, cols, wp, start, y[:, last + start:last + stop])
+    y[:, last:last + span] += bias.data[:, None]
+    layout.zero_ring(y)
+    out = Tensor.of_grid(y, layout)
 
     graph = active_graph()
     if graph is not None:
         x_sink, weight_sink, bias_sink = x.sink, weight.sink, bias.sink
         def backward_fn(g: np.ndarray) -> None:
             bias_sink.accumulate_grad(g.sum(axis=1))  # every column but the pixels is zero
-            if same:
-                g_cols = g  # output column r already sits at column r + last
-            else:
-                g_cols = np.zeros((cout, _aligned(span + last)))
-                valid(g_cols[:, last:])[...] = out_layout.interior(g).transpose(1, 0, 2, 3)
             flipped = taps[::-1, ::-1].transpose(0, 1, 3, 2)
             rows = 1 if 2 * cout <= cin else kh  # windows of dX's stack that dW reads
             d_w = [None] * rows
             if x_sink is not None:
-                d_grid = np.empty((cin, in_layout.width))
-                d_cols = d_grid[:, in_layout.lead:]
+                d_grid = np.empty((cin, layout.width))
+                d_cols = d_grid[:, layout.lead:]
             for start, stop in _tiles(span):
                 width = stop - start
                 if thin_in:
                     stack = _gather(cols, kh, kw, wp, start, width, True)
-                    d_w[0] = _matmul_nt(g_cols[:, last + start:last + stop], stack, d_w[0])
+                    d_w[0] = _matmul_nt(g[:, last + start:last + stop], stack, d_w[0])
                     del stack  # dX's products below reuse its block
                 if x_sink is not None:
-                    stack = _correlate(flipped, g_cols, wp, start, d_cols[:, start:stop])
+                    stack = _correlate(flipped, g, wp, start, d_cols[:, start:stop])
                 elif not thin_in:
-                    stack = _gather(g_cols, kh, kw, wp, start, width, 2 * cout <= cin)
+                    stack = _gather(g, kh, kw, wp, start, width, 2 * cout <= cin)
                 if not thin_in:
                     # block j of window di*wp of dX's stack is the upstream gradient shifted
                     # right by the offset of tap (kh-1-di, kw-1-j); a thin output's stack is
@@ -442,7 +412,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: int = 0, stride: int = 
                 d_w = np.stack(d_w).reshape(kh, kw, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1)
             weight_sink.accumulate_grad(d_w)
             if x_sink is not None:
-                in_layout.zero_ring(d_grid)
-                x_sink.accumulate_grad(d_grid, in_layout, owned=True)
+                layout.zero_ring(d_grid)
+                x_sink.accumulate_grad(d_grid, layout, owned=True)
         graph.record("conv2d", out, backward_fn)
     return out

@@ -48,9 +48,14 @@ EXIT_GRADCHECK = 5
 
 def _parse_u64_arg(text: str) -> int:
     try:
+        int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2**64), got {text!r}") from None
+    try:
         return _parse_u64(text)
-    except ValueError:  # text that is no integer fails int() again: argparse's "invalid value"
-        raise argparse.ArgumentTypeError(f"seed {int(text, 10)} outside [0, 2**64)") from None
+    except ValueError as error:  # an integer out of range
+        raise argparse.ArgumentTypeError(f"seed {error}") from None
 
 
 def _parse_set_arg(text: str) -> tuple[str, str]:

@@ -56,7 +56,7 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
     # coordinate, so a wide step has no truncation error and keeps rounding far below the
     # threshold; a step of 0.1 moves no output element by more than 0.1.
     conv_errors = [
-        _check_op(rng, lambda x, w, b: conv2d(x, w, b, pad=1, stride=2),
+        _check_op(rng, lambda x, w, b: conv2d(x, w, b, pad=1),
                   [_rand(rng, (2, cin, 6, 5)), _rand(rng, (cout, cin, 3, 3)), _rand(rng, (cout,))],
                   h=0.1)
         for cin, cout in ((3, 4), (1, 2), (2, 1))
@@ -73,12 +73,12 @@ def per_op_gradchecks(seed: int = 2024) -> list[tuple[str, float]]:
     ]
 
 
-def build_tiny_model(variant: str, seed: int = 7):
+def build_tiny_model(variant: str, seed: int = 7, kernel: int = 3):
     """Loss closure + parameter list for the standard tiny composed model:
-    1x3x8x8 input, width-4 nets, one residual block, order 3."""
+    1x3x8x8 input, width-4 nets of kernel-square convs, one residual block, order 3."""
     model = Model.init(
-        MappingSpec(in_channels=3, channels=TINY_CHANNELS, blocks=TINY_BLOCKS),
-        DerivativeSpec(in_channels=3, channels=TINY_CHANNELS),
+        MappingSpec(in_channels=3, channels=TINY_CHANNELS, blocks=TINY_BLOCKS, kernel=kernel),
+        DerivativeSpec(in_channels=3, channels=TINY_CHANNELS, kernel=kernel),
         ComposerConfig(order=TINY_ORDER, lam=1.0, variant=variant),
         seed,
     )

@@ -69,6 +69,16 @@ def test_bad_orders_spec_is_usage_error(capsys):
     assert main(["sweep-order", "abc", "--out", "x"]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "synthesize"])
+def test_seed_that_is_no_u64_is_usage_error(capsys, command):
+    assert main([command, "--seed", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "expected an integer in [0, 2**64), got 'abc'" in err
+    assert "_parse_u64_arg" not in err
+    assert main([command, "--seed", "-1"]) == 2
+    assert "seed -1 outside [0, 2**64)" in capsys.readouterr().err
+
+
 def check_console_script(command, env=None):
     proc = subprocess.run([*command, "--help"], capture_output=True, text=True,
                           env=env)

@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import taylor_restore.autodiff as autodiff
 from conftest import rand_tensor
@@ -64,6 +65,14 @@ def test_seed_7_composed_check_remeasures_at_most_two_elements():
         assert check_gradients(counted, tensors) < COMPOSED_THRESHOLD
         elements = sum(tensor.data.size for tensor in tensors)
         assert 1 + 2 * elements <= forwards <= 1 + 2 * elements + 4 * 2, variant
+
+
+@pytest.mark.parametrize("kernel", [1, 5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_composed_check_passes_at_other_kernel_sizes(variant, kernel):
+    # the config accepts any odd kernel; the CLI's composed check runs 3 only
+    loss_fn, tensors = verification.build_tiny_model(variant, seed=7, kernel=kernel)
+    assert check_gradients(loss_fn, tensors) < COMPOSED_THRESHOLD
 
 
 def wrong_relu(x: Tensor) -> Tensor:
