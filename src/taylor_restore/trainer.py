@@ -430,9 +430,8 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
                 )
                 params.zero_grads()
                 with Graph() as graph:
-                    trace = model.forward(degraded)
                     total, loss_output, loss_coarse = framework_loss_terms(
-                        trace, clean, model.composer
+                        model.forward(degraded), clean, model.composer
                     )
                 loss_value = total.item()
                 if not math.isfinite(loss_value):

@@ -1,7 +1,9 @@
 """Fixed memory budgets, as tracemalloc peaks: one paper-default training step, so that a change
 which brings back a full-span temporary (a tap stack, a padded copy, a saved mask) fails here;
-and the image memory of loading a corpus, training on it and synthesizing one, so that a change
-which keeps images as floats or holds a whole corpus in memory fails here."""
+one whole paper-default ``train`` call, so that a loop which holds a forward's outputs across
+its backward fails here; and the image memory of loading a corpus, training on it and
+synthesizing one, so that a change which keeps images as floats or holds a whole corpus in
+memory fails here."""
 
 import concurrent.futures
 import multiprocessing
@@ -23,7 +25,7 @@ from taylor_restore.runconfig import (
     parse_config_text,
     train_config_from,
 )
-from taylor_restore.trainer import Model, load_corpus, train
+from taylor_restore.trainer import Model, TrainConfig, load_corpus, train
 
 PRESET = Path(__file__).resolve().parents[1] / "configs" / "desk_rain.cfg"
 
@@ -94,6 +96,24 @@ def test_paper_default_step_stays_within_its_memory_budget():
     peak_mb, every_grad = in_fresh_process(paper_step_peak_mb)
     assert every_grad
     assert peak_mb <= STEP_PEAK_MB
+
+
+# One paper-default train call (a single step) measured 135.05 MB. With the loop holding the
+# ComposerTrace (f_out and every series term) across backward it measured 140.10 MB.
+TRAIN_CALL_PEAK_MB = 137.0
+
+
+def paper_train(corpus: Path, out: Path) -> None:
+    """One paper-default training epoch on `corpus`, with only the final checkpoint."""
+    train(corpus, MappingSpec(), DerivativeSpec(), ComposerConfig(),
+          TrainConfig(epochs=1, checkpoint_every=0), out)
+
+
+def test_a_paper_default_train_call_stays_within_its_memory_budget(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synthesize", "--count", "4", "--seed", "0", "--set", "data.image_size=128",
+                 "--out", str(corpus)]) == 0
+    assert fresh_peak_mb(paper_train, corpus, tmp_path / "run") <= TRAIN_CALL_PEAK_MB
 
 
 @pytest.fixture(scope="module")
