@@ -3,7 +3,10 @@
 Rain adds a non-negative field of oriented line segments with Gaussian
 cross-section to every channel; blur convolves with a normalized kernel
 (replicate-edge padding, correlation orientation) and adds Gaussian noise.
-Either result is clamped to [0, 1].
+Either result is clamped to [0, 1]. The blur is a fixed-order tap
+accumulation: each of the k*k weighted shifts of the padded image is added in
+row-major tap order, so its memory is O(image) whatever k is, and it makes no
+BLAS call, so its bits do not depend on the BLAS thread count.
 
 Every sample is generated from its own seed,
 derive_stream(spec.seed, sample_index), so corpus content depends only on
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import write_atomic
 from .errors import FormatError
@@ -45,6 +47,7 @@ KERNEL_LINEAR_MOTION = "linear_motion"
 KERNEL_KINDS = (KERNEL_BOX, KERNEL_GAUSSIAN, KERNEL_LINEAR_MOTION)
 
 _CLEAN_STREAM_TAG = 0x636C65616E  # distinct child-stream family for clean images
+_BAND_PIXELS = 1 << 14  # per channel, in one row band of generate_clean's upsampling
 
 
 def _require_finite(params: "RainParams | BlurParams", squared: tuple[str, ...] = ()) -> None:
@@ -203,14 +206,18 @@ def make_blur_kernel(params: BlurParams) -> np.ndarray:
 
 
 def _correlate_replicate(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Per-channel 'same' correlation with replicate-edge padding."""
-    radius = kernel.shape[0] // 2
-    if radius:
-        padded = np.pad(image, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
-    else:
-        padded = image
-    windows = sliding_window_view(padded, kernel.shape, axis=(1, 2))
-    return np.tensordot(windows, kernel, axes=([3, 4], [0, 1]))
+    """Per-channel 'same' correlation with replicate-edge padding, summed tap by tap in
+    row-major order through one term buffer: three images of memory whatever k is."""
+    _, height, width = image.shape
+    size = kernel.shape[0]
+    radius = size // 2
+    padded = np.pad(image, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    out = np.zeros_like(image)
+    term = np.empty_like(image)
+    for i in range(size):
+        for j in range(size):
+            out += np.multiply(padded[:, i:i + height, j:j + width], kernel[i, j], out=term)
+    return out
 
 
 def synth_blur(clean: np.ndarray, params: BlurParams, seed: int) -> np.ndarray:
@@ -229,25 +236,32 @@ def synthesize_sample(clean: np.ndarray, spec: DegradationSpec) -> np.ndarray:
 
 def generate_clean(height: int, width: int, seed: int) -> np.ndarray:
     """Procedural clean image: three octaves of bilinear value noise,
-    min-max normalized into [0.05, 0.95]."""
+    min-max normalized into [0.05, 0.95]; the octaves are added in row bands and
+    normalized in place, so no temporary is larger than a band."""
     rng = SplitMix64(seed)
     image = np.zeros((3, height, width))
+    band = max(1, _BAND_PIXELS // width)
     for grid_size, amplitude in ((4, 1.0), (8, 0.5), (16, 0.25)):
         coarse = rng.uniforms(3 * grid_size * grid_size).reshape(3, grid_size, grid_size)
-        image += amplitude * _bilinear_upsample(coarse, height, width)
+        ys = np.linspace(0.0, grid_size - 1.0, height)
+        xs = np.linspace(0.0, grid_size - 1.0, width)
+        for top in range(0, height, band):
+            image[:, top:top + band] += amplitude * _bilinear_sample(coarse, ys[top:top + band], xs)
     lo, hi = image.min(), image.max()
     if hi > lo:
-        image = (image - lo) / (hi - lo) * 0.9 + 0.05
+        image -= lo
+        image /= hi - lo
+        image *= 0.9
+        image += 0.05
     else:
-        image = np.full_like(image, 0.5)
+        image.fill(0.5)
     return image
 
 
-def _bilinear_upsample(coarse: np.ndarray, height: int, width: int) -> np.ndarray:
-    """coarse (C, grid, grid), grid >= 2, bilinearly resampled to (C, height, width)."""
+def _bilinear_sample(coarse: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """coarse (C, grid, grid), grid >= 2, bilinearly sampled at rows ys and columns xs
+    (grid coordinates in [0, grid - 1]) into (C, len(ys), len(xs))."""
     grid = coarse.shape[1]
-    ys = np.linspace(0.0, grid - 1.0, height)
-    xs = np.linspace(0.0, grid - 1.0, width)
     y0 = np.minimum(ys.astype(int), grid - 2)
     x0 = np.minimum(xs.astype(int), grid - 2)
     fy = (ys - y0)[None, :, None]

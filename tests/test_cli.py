@@ -383,6 +383,28 @@ def test_paper_default_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert written["1"] == written["2"]
 
 
+# A blur that sums its taps in a BLAS GEMV gives other floats at these two sizes with two
+# threads than with one; at 64 and 128 px they happened to agree.
+BLUR_CHILD = """
+import hashlib
+from taylor_restore.degrade import BlurParams, generate_clean, synth_blur
+for size in (45, 63):
+    blurred = synth_blur(generate_clean(size, size, 3), BlurParams(), 5)
+    print(hashlib.sha256(blurred.tobytes()).hexdigest())
+"""
+
+
+def test_blur_bits_do_not_depend_on_blas_threads():
+    printed = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", BLUR_CHILD], capture_output=True,
+                              text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        printed[threads] = proc.stdout.split()
+    assert len(printed["1"]) == 2
+    assert printed["1"] == printed["2"]
+
+
 def test_train_requires_data(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "run")]) == 2
     assert "missing paths.data" in capsys.readouterr().err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import taylor_restore
-from conftest import write_rain_corpus
+from conftest import rand_array, write_rain_corpus
 from taylor_restore.degrade import (
     BlurParams,
     DegradationSpec,
@@ -25,7 +25,7 @@ from taylor_restore.degrade import (
     synthesize_sample,
 )
 from taylor_restore.ppm import read_ppm
-from taylor_restore.prng import derive_stream
+from taylor_restore.prng import SplitMix64, derive_stream
 
 
 def make_clean(size=24, seed=5):
@@ -47,6 +47,37 @@ def test_generate_clean_range_and_shape():
     assert img.shape == (3, 20, 28)
     assert float(img.min()) == pytest.approx(0.05, abs=1e-9)
     assert float(img.max()) == pytest.approx(0.95, abs=1e-9)
+
+
+def generate_clean_whole_image(height, width, seed):
+    """generate_clean as whole-image array expressions: each octave upsampled over the whole
+    grid at once, then normalized out of place."""
+    rng = SplitMix64(seed)
+    image = np.zeros((3, height, width))
+    for grid_size, amplitude in ((4, 1.0), (8, 0.5), (16, 0.25)):
+        coarse = rng.uniforms(3 * grid_size * grid_size).reshape(3, grid_size, grid_size)
+        ys = np.linspace(0.0, grid_size - 1.0, height)
+        xs = np.linspace(0.0, grid_size - 1.0, width)
+        y0 = np.minimum(ys.astype(int), grid_size - 2)
+        x0 = np.minimum(xs.astype(int), grid_size - 2)
+        fy = (ys - y0)[None, :, None]
+        fx = (xs - x0)[None, None, :]
+        top = coarse[:, y0][:, :, x0] * (1.0 - fx) + coarse[:, y0][:, :, x0 + 1] * fx
+        bottom = coarse[:, y0 + 1][:, :, x0] * (1.0 - fx) + coarse[:, y0 + 1][:, :, x0 + 1] * fx
+        image += amplitude * (top * (1.0 - fy) + bottom * fy)
+    lo, hi = image.min(), image.max()
+    if hi > lo:
+        return (image - lo) / (hi - lo) * 0.9 + 0.05
+    return np.full_like(image, 0.5)
+
+
+@pytest.mark.parametrize("height, width", [(1, 1), (2, 3), (45, 45), (64, 64), (100, 100),
+                                           (128, 128), (300, 200), (45, 1000)])
+def test_generate_clean_in_row_bands_equals_the_whole_image_formula(height, width):
+    """Byte for byte, also where the image spans several bands (the last two shapes)."""
+    for seed in range(5):
+        assert np.array_equal(generate_clean(height, width, seed),
+                              generate_clean_whole_image(height, width, seed))
 
 
 def test_generate_clean_is_deterministic():
@@ -171,6 +202,38 @@ def test_noiseless_delta_blur_is_identity():
     clean = make_clean()
     assert np.array_equal(blur(clean, 3, kernel_kind="gaussian", sigma=0.3, noise_sigma=0.0),
                           clean)
+
+
+def correlate_replicate_bruteforce(image, kernel):
+    """Per-pixel 'same' correlation with replicate edges, written as plain loops: each tap
+    reads the nearest in-image pixel to its offset position."""
+    channels, height, width = image.shape
+    size = len(kernel)
+    radius = size // 2
+    out = np.zeros(image.shape)
+    for c in range(channels):
+        for y in range(height):
+            for x in range(width):
+                acc = 0.0
+                for i in range(size):
+                    for j in range(size):
+                        src_y = min(max(y + i - radius, 0), height - 1)
+                        src_x = min(max(x + j - radius, 0), width - 1)
+                        acc += float(kernel[i][j]) * float(image[c, src_y, src_x])
+                out[c, y, x] = acc
+    return out
+
+
+@pytest.mark.parametrize("kind", ["box", "gaussian", "linear_motion"])
+@pytest.mark.parametrize("size, shape", [(1, (3, 11, 13)), (3, (3, 11, 13)), (9, (3, 11, 13)),
+                                         (9, (3, 4, 5)), (9, (3, 1, 1))])
+def test_noiseless_blur_matches_the_loop_oracle(kind, size, shape):
+    """Kernels as large as the image or larger read only replicated edge pixels past it."""
+    params = BlurParams(kernel_kind=kind, kernel_size=size, sigma=1.5,
+                        motion_length=min(7.0, size), motion_angle=30.0, noise_sigma=0.0)
+    clean = rand_array(size, shape, 0.0, 1.0)
+    expected = correlate_replicate_bruteforce(clean, make_blur_kernel(params))
+    assert np.allclose(synth_blur(clean, params, 4), expected, atol=1e-13, rtol=0)
 
 
 def test_blur_preserves_constant_images():

@@ -1,7 +1,8 @@
 """Fixed memory budgets, as tracemalloc peaks: one paper-default training step, so that a change
 which brings back a full-span temporary (a tap stack, a padded copy, a saved mask) fails here;
 one whole paper-default ``train`` call, so that a loop which holds a forward's outputs across
-its backward fails here; and the image memory of loading a corpus, training on it and
+its backward fails here; a blur at two kernel sizes, so that a blur which copies every kernel
+window of the image fails here; and the image memory of loading a corpus, training on it and
 synthesizing one, so that a change which keeps images as floats or holds a whole corpus in
 memory fails here."""
 
@@ -16,6 +17,7 @@ from conftest import rand_array
 from taylor_restore.autodiff import Graph, Tensor, backward
 from taylor_restore.cli import main
 from taylor_restore.composer import ComposerConfig, framework_loss_terms
+from taylor_restore.degrade import BlurParams, generate_clean, synth_blur
 from taylor_restore.networks import DerivativeSpec, MappingSpec
 from taylor_restore.runconfig import (
     composer_config_from,
@@ -138,3 +140,17 @@ def test_synthesis_memory_does_not_grow_with_the_count(tmp_path):
                                     "data.image_size=64", "--out", str(tmp_path / str(count))])
 
     assert abs(peak(32) - peak(4)) <= SYNTHESIS_GROWTH_MB
+
+
+# A 128 px blur measured 2.36 MB at kernel size 3 and at 15. Summing the taps in a GEMV over a
+# copy of every kernel window read 4.34 and 89.36 MB.
+BLUR_KERNEL_GROWTH_MB = 0.5
+
+
+def test_blur_memory_does_not_grow_with_the_kernel():
+    clean = generate_clean(128, 128, 0)
+
+    def peak(size):
+        return fresh_peak_mb(synth_blur, clean, BlurParams(kernel_size=size), 0)
+
+    assert abs(peak(15) - peak(3)) <= BLUR_KERNEL_GROWTH_MB
