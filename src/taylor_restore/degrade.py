@@ -34,7 +34,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .errors import FormatError
-from .ppm import write_ppm
+from .ppm import CHANNELS, write_ppm
 from .prng import SplitMix64, derive_stream
 
 KIND_RAIN = "rain"
@@ -239,10 +239,10 @@ def generate_clean(height: int, width: int, seed: int) -> np.ndarray:
     min-max normalized into [0.05, 0.95]; the octaves are added in row bands and
     normalized in place, so no temporary is larger than a band."""
     rng = SplitMix64(seed)
-    image = np.zeros((3, height, width))
+    image = np.zeros((CHANNELS, height, width))
     band = max(1, _BAND_PIXELS // width)
     for grid_size, amplitude in ((4, 1.0), (8, 0.5), (16, 0.25)):
-        coarse = rng.uniforms(3 * grid_size * grid_size).reshape(3, grid_size, grid_size)
+        coarse = rng.uniforms(CHANNELS * grid_size**2).reshape(CHANNELS, grid_size, grid_size)
         ys = np.linspace(0.0, grid_size - 1.0, height)
         xs = np.linspace(0.0, grid_size - 1.0, width)
         for top in range(0, height, band):

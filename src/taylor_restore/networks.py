@@ -7,9 +7,10 @@ the identity.
 
 The derivative network is deliberately small: two convolutions with one relu
 between them and no final nonlinearity. Its input is the channel-concat of
-the current term and the degraded image, so conv1 takes 2C channels. One
-ParamSet is shared by every unrolled stage; the tape sums gradient
-contributions across stages because the same Tensor objects are reused.
+the current term and the degraded image, so conv1 takes 2 * CHANNELS
+channels. One ParamSet is shared by every unrolled stage; the tape sums
+gradient contributions across stages because the same Tensor objects are
+reused.
 
 Weights are He-initialized, Normal(0, sqrt(2 / fan_in)) with
 fan_in = Cin * kh * kw, drawn from the package PRNG in a fixed layer order
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .autodiff import ShapeError, Tensor, add, concat_channels, conv2d, relu
+from .ppm import CHANNELS
 from .prng import SplitMix64
 
 
 @dataclass(frozen=True)
 class MappingSpec:
-    in_channels: int = 3
     channels: int = 32
     blocks: int = 3
     kernel: int = 3
@@ -41,7 +42,6 @@ class MappingSpec:
 
 @dataclass(frozen=True)
 class DerivativeSpec:
-    in_channels: int = 3  # image channels; conv1 consumes 2x this
     channels: int = 32
     kernel: int = 3
 
@@ -52,11 +52,8 @@ class DerivativeSpec:
 def _check_spec(spec: MappingSpec | DerivativeSpec) -> None:
     if spec.kernel % 2 != 1 or spec.kernel < 1:
         raise ValueError(f"kernel size must be odd and positive, got {spec.kernel}")
-    if spec.in_channels < 1 or spec.channels < 1:
-        raise ValueError(
-            f"channel counts must be >= 1, got in_channels={spec.in_channels}, "
-            f"channels={spec.channels}"
-        )
+    if spec.channels < 1:
+        raise ValueError(f"channel counts must be >= 1, got channels={spec.channels}")
 
 
 class ParamSet:
@@ -88,15 +85,15 @@ class ParamSet:
 def _conv_layers(spec: MappingSpec | DerivativeSpec) -> list[tuple[str, int, int]]:
     """(layer path, Cout, Cin) of every conv of one network, in init draw order."""
     if isinstance(spec, DerivativeSpec):
-        return [("derivative.conv1", spec.channels, 2 * spec.in_channels),
-                ("derivative.conv2", spec.in_channels, spec.channels)]
+        return [("derivative.conv1", spec.channels, 2 * CHANNELS),
+                ("derivative.conv2", CHANNELS, spec.channels)]
     if not isinstance(spec, MappingSpec):
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
-    layers = [("mapping.conv_in", spec.channels, spec.in_channels)]
+    layers = [("mapping.conv_in", spec.channels, CHANNELS)]
     for b in range(spec.blocks):
         layers.append((f"mapping.block{b}.conv1", spec.channels, spec.channels))
         layers.append((f"mapping.block{b}.conv2", spec.channels, spec.channels))
-    layers.append(("mapping.conv_out", spec.in_channels, spec.channels))
+    layers.append(("mapping.conv_out", CHANNELS, spec.channels))
     return layers
 
 

@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import FormatError
 
+CHANNELS = 3  # P6 stores RGB triples: every image and every model has three channels
+
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:
     """Write a (3, H, W) array with values in [0, 1]."""
-    if image.ndim != 3 or image.shape[0] != 3:
+    if image.ndim != 3 or image.shape[0] != CHANNELS:
         raise FormatError(f"PPM image must have shape (3, H, W), got {image.shape}")
     if not np.isfinite(image).all():
         raise FormatError("PPM values must be finite")
@@ -76,11 +78,11 @@ def read_ppm(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, need 255")
-    expected = 3 * width * height
+    expected = CHANNELS * width * height
     payload = memoryview(blob)[payload_start:payload_start + expected]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: truncated pixel data ({len(payload)} of {expected} bytes)"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, CHANNELS)
     return np.ascontiguousarray(pixels.transpose(2, 0, 1))

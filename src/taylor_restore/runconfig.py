@@ -109,7 +109,6 @@ SCHEMA: dict[str, _Field] = {row.key: row for row in (
     _Field("data.blur.motion_angle", float, BlurParams),
     _Field("data.blur.noise_sigma", float, BlurParams),
     # model and composer
-    _Field("model.in_channels", int, Model),
     _Field("model.mapping_channels", int, Model),
     _Field("model.mapping_blocks", int, Model),
     _Field("model.derivative_channels", int, Model),

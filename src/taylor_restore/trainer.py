@@ -68,6 +68,10 @@ STREAM_DATA = 3
 
 LOSS_LOG_HEADER = "epoch\tstep\tlr\tloss\tloss_output\tloss_coarse"
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -128,23 +132,22 @@ class AdamState:
         return state
 
 
-def adam_step(params: ParamSet, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: ParamSet, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update from the grads stored on the params."""
     state.t += 1
-    bias1 = 1.0 - beta1**state.t
-    bias2 = 1.0 - beta2**state.t
+    bias1 = 1.0 - ADAM_BETA1**state.t
+    bias2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in params.items():
         grad = tensor.grad
         if grad is None:
             raise ValueError(f"adam_step: parameter {name!r} has no gradient")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * (grad * grad)
-        tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
+        tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -203,9 +206,8 @@ def sample_patch_batch(corpus: list[CorpusImage], patch_size: int, batch_size: i
 
 
 # Checkpoint metadata and config keys describing a model: key -> (part, field, parser).
-# The derivative net takes in_channels and kernel from the mapping net.
+# The derivative net takes the kernel from the mapping net.
 MODEL_METADATA = {
-    "model.in_channels": ("mapping", "in_channels", int),
     "model.mapping_channels": ("mapping", "channels", int),
     "model.mapping_blocks": ("mapping", "blocks", int),
     "model.kernel_size": ("mapping", "kernel", int),
@@ -225,8 +227,7 @@ def model_specs(values: dict) -> tuple[MappingSpec, DerivativeSpec, ComposerConf
         if key in values:
             fields[part][name] = values[key]
     mapping = MappingSpec(**fields["mapping"])
-    derivative = DerivativeSpec(in_channels=mapping.in_channels, kernel=mapping.kernel,
-                                **fields["derivative"])
+    derivative = DerivativeSpec(kernel=mapping.kernel, **fields["derivative"])
     return mapping, derivative, ComposerConfig(**fields["composer"])
 
 
@@ -239,6 +240,11 @@ class Model:
     derivative: DerivativeSpec
     composer: ComposerConfig
     params: ParamSet
+
+    def __post_init__(self):
+        if self.derivative.kernel != self.mapping.kernel:
+            raise ValueError(f"derivative kernel {self.derivative.kernel} differs from the "
+                             f"mapping kernel {self.mapping.kernel}")
 
     @classmethod
     def init(cls, mapping: MappingSpec, derivative: DerivativeSpec,
@@ -379,12 +385,7 @@ def train(corpus_dir: str | Path, mapping_spec: MappingSpec,
     pin_heap()
     corpus = load_corpus(corpus_dir)
     for image in corpus:
-        channels, height, width = image.clean.shape
-        if channels != mapping_spec.in_channels:
-            raise ConfigError(
-                f"image {image.file} has {channels} channels, model.in_channels "
-                f"is {mapping_spec.in_channels}"
-            )
+        _, height, width = image.clean.shape
         if height < cfg.patch_size or width < cfg.patch_size:
             raise ConfigError(
                 f"image {image.file} is {height}x{width}, smaller than patch "

@@ -77,8 +77,8 @@ def build_tiny_model(variant: str, seed: int = 7, kernel: int = 3):
     """Loss closure + parameter list for the standard tiny composed model:
     1x3x8x8 input, width-4 nets of kernel-square convs, one residual block, order 3."""
     model = Model.init(
-        MappingSpec(in_channels=3, channels=TINY_CHANNELS, blocks=TINY_BLOCKS, kernel=kernel),
-        DerivativeSpec(in_channels=3, channels=TINY_CHANNELS, kernel=kernel),
+        MappingSpec(channels=TINY_CHANNELS, blocks=TINY_BLOCKS, kernel=kernel),
+        DerivativeSpec(channels=TINY_CHANNELS, kernel=kernel),
         ComposerConfig(order=TINY_ORDER, lam=1.0, variant=variant),
         seed,
     )

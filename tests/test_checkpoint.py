@@ -154,7 +154,7 @@ def test_shape_mismatch_is_named():
 
 def train_style_checkpoint(order, seed=5):
     mapping_spec = MappingSpec(channels=4, blocks=1)
-    derivative_spec = DerivativeSpec(in_channels=3, channels=4)
+    derivative_spec = DerivativeSpec(channels=4)
     cfg = ComposerConfig(order=order, lam=0.5, variant="concat_only", g0="y")
     model = Model.init(mapping_spec, derivative_spec, cfg, seed)
     return mapping_spec, derivative_spec, model.params, make_train_checkpoint(
@@ -171,6 +171,20 @@ def test_specs_roundtrip_through_metadata():
     assert ckpt.metadata["train.rng_state"] == "17"
     assert model.metadata() == {key: value for key, value in ckpt.metadata.items()
                                 if not key.startswith("train.")}
+
+
+def test_checkpoint_that_records_in_channels_loads_to_the_same_model():
+    # checkpoints written while the channel count was a setting carry model.in_channels = 3;
+    # the loader reads no such key
+    mapping_spec, derivative_spec, params, ckpt = train_style_checkpoint(order=2)
+    expected = Model.from_checkpoint(ckpt)
+    ckpt.metadata["model.in_channels"] = "3"
+    model = Model.from_checkpoint(ckpt)
+    assert (model.mapping, model.derivative, model.composer) == (
+        mapping_spec, derivative_spec, expected.composer)
+    assert model.metadata() == expected.metadata()
+    assert {name: t.data.tobytes() for name, t in model.params.items()} == {
+        name: t.data.tobytes() for name, t in params.items()}
 
 
 def test_model_from_checkpoint_reproduces_forward(tmp_path):

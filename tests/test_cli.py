@@ -571,12 +571,17 @@ def test_resume_with_another_model_is_config_error(tmp_path, capsys, sets, messa
     assert not list(resumed.glob("ckpt_epoch*.bin"))
 
 
-def test_train_channel_count_mismatch_is_config_error(tmp_path, capsys):
+def test_in_channels_is_an_unknown_key(tmp_path, capsys):
+    """Images are RGB: no key sets a channel count, from --set or from a config file."""
     data = synthesize(tmp_path / "data")
     out = tmp_path / "run"
     assert main(train_args(data, out, extra=["--set", "model.in_channels=1"])) == 2
-    assert "has 3 channels, model.in_channels is 1" in capsys.readouterr().err
-    assert not list(out.glob("ckpt_*"))
+    assert "unknown config key 'model.in_channels'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.in_channels = 3\n")
+    assert main(train_args(data, out, extra=["--config", str(cfg)])) == 2
+    assert "unknown config key 'model.in_channels'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
@@ -660,15 +665,20 @@ def test_non_finite_gradient_exits_before_adam(tmp_path, capsys, monkeypatch):
 
 # --- eval --------------------------------------------------------------------------------
 
-def identity_checkpoint(path, in_channels=3):
-    # an order-0 model with all-zero convolutions: restoration == input
-    mapping_spec = MappingSpec(in_channels=in_channels, channels=4, blocks=1)
-    derivative_spec = DerivativeSpec(in_channels=in_channels, channels=4)
-    model = Model.init(mapping_spec, derivative_spec, ComposerConfig(order=0), seed=0)
+def identity_checkpoint(path, channels=3):
+    # an order-0 model with all-zero convolutions: restoration == input; any other channel
+    # count reshapes the image-facing tensors for it, which no model of this package reads
+    model = Model.init(MappingSpec(channels=4, blocks=1), DerivativeSpec(channels=4),
+                       ComposerConfig(order=0), seed=0)
     for tensor in model.params.tensors():
         tensor.data[...] = 0.0
     ckpt = make_train_checkpoint(model, AdamState.for_params(model.params),
                                  epoch=0, rng_state=0)
+    for name, shape in (("mapping.conv_in.weight", (4, channels, 3, 3)),
+                        ("mapping.conv_out.weight", (channels, 4, 3, 3)),
+                        ("mapping.conv_out.bias", (channels,))):
+        for prefix in ("param.", "adam.m.", "adam.v."):
+            ckpt.tensors[prefix + name] = np.zeros(shape)
     save_checkpoint(path, ckpt)
     return path
 
@@ -770,11 +780,15 @@ def test_eval_pair_shape_mismatch_is_io_error(tmp_path, capsys):
 
 
 def test_eval_channel_count_mismatch_is_io_error(tmp_path, capsys):
+    """A checkpoint whose tensors are shaped for one-channel images fails the shape check."""
     data = synthesize(tmp_path / "data", count=1)
-    rc = main(["eval", "--ckpt", str(identity_checkpoint(tmp_path / "gray.bin", in_channels=1)),
+    rc = main(["eval", "--ckpt", str(identity_checkpoint(tmp_path / "gray.bin", channels=1)),
                "--data", str(data), "--out", str(tmp_path / "eval")])
     assert rc == 3
-    assert "has 3 channels, the checkpoint's model takes 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert ("checkpoint tensor param.mapping.conv_in.weight has shape (4, 1, 3, 3), "
+            "model expects (4, 3, 3, 3)") in err
 
 
 def test_eval_on_images_smaller_than_the_ssim_window_is_io_error(tmp_path, capsys):

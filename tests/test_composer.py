@@ -172,7 +172,7 @@ def test_gradients_reach_both_networks(variant):
     # the whole expansion is one differentiable graph: training signal must
     # arrive at every mapping and derivative parameter
     mspec = MappingSpec(channels=4, blocks=1)
-    dspec = DerivativeSpec(in_channels=3, channels=4)
+    dspec = DerivativeSpec(channels=4)
     mparams = init_params(mspec, 1)
     dparams = init_params(dspec, 2)
     y = rand_tensor(8, (1, 3, 8, 8), 0.0, 1.0)

@@ -27,8 +27,6 @@ def test_spec_validation():
         DerivativeSpec(kernel=2)
     for spec in (MappingSpec, DerivativeSpec):
         with pytest.raises(ValueError, match="channel counts"):
-            spec(in_channels=0)
-        with pytest.raises(ValueError, match="channel counts"):
             spec(channels=0)
 
 
@@ -73,7 +71,7 @@ def test_zero_mapping_is_identity():
 
 
 def test_zero_derivative_net_outputs_zero():
-    spec = DerivativeSpec(in_channels=3, channels=4)
+    spec = DerivativeSpec(channels=4)
     params = init_params(spec, 1)
     for tensor in params.tensors():
         tensor.data[...] = 0.0
@@ -86,7 +84,7 @@ def test_zero_derivative_net_outputs_zero():
 
 def test_forward_shapes_preserved_on_rectangles():
     mspec = MappingSpec(channels=4, blocks=2, kernel=5)
-    dspec = DerivativeSpec(in_channels=3, channels=4, kernel=5)
+    dspec = DerivativeSpec(channels=4, kernel=5)
     y = rand_tensor(12, (2, 3, 10, 6), 0.0, 1.0)
     f = forward_mapping(init_params(mspec, 1), mspec, y)
     assert f.shape == y.shape
@@ -95,14 +93,14 @@ def test_forward_shapes_preserved_on_rectangles():
 
 
 def test_forward_mapping_rejects_wrong_channels():
-    spec = MappingSpec(in_channels=3, channels=4, blocks=1)
+    spec = MappingSpec(channels=4, blocks=1)
     y = rand_tensor(13, (1, 4, 8, 8))
     with pytest.raises(ShapeError):
         forward_mapping(init_params(spec, 1), spec, y)
 
 
 def test_forward_derivative_rejects_mismatched_pair():
-    spec = DerivativeSpec(in_channels=3, channels=4)
+    spec = DerivativeSpec(channels=4)
     params = init_params(spec, 1)
     y = rand_tensor(14, (1, 3, 8, 8))
     g = rand_tensor(15, (1, 3, 6, 6))
@@ -125,11 +123,11 @@ def test_param_set_interface():
 def test_shared_weight_gradients_sum_over_stages():
     # unrolling the same network twice must accumulate both stages' gradients
     # into the single shared parameter set
-    spec = DerivativeSpec(in_channels=2, channels=5)
-    y = rand_tensor(17, (1, 2, 8, 8), 0.0, 1.0)
-    g0 = rand_tensor(18, (1, 2, 8, 8), 0.0, 1.0)
+    spec = DerivativeSpec(channels=5)
+    y = rand_tensor(17, (1, 3, 8, 8), 0.0, 1.0)
+    g0 = rand_tensor(18, (1, 3, 8, 8), 0.0, 1.0)
 
-    upstream = rand_tensor(19, (1, 2, 8, 8)).data
+    upstream = rand_tensor(19, (1, 3, 8, 8)).data
     shared = init_params(spec, 3)
     with Graph() as graph:
         s1 = forward_derivative(shared, spec, g0, y)
@@ -156,7 +154,7 @@ def test_shared_weight_gradients_sum_over_stages():
 
 def test_derivative_param_count_is_order_independent():
     # one shared derivative network regardless of expansion depth
-    spec = DerivativeSpec(in_channels=3, channels=4)
+    spec = DerivativeSpec(channels=4)
     assert len(init_params(spec, 1).tensors()) == 4  # conv1/conv2, weight+bias each
     weight = init_params(spec, 1)["derivative.conv1.weight"]
     assert weight.shape == (4, 6, 3, 3)  # stacked [state, input] pair on input

@@ -19,7 +19,13 @@ from taylor_restore.runconfig import (
     train_config_from,
     write_echo,
 )
-from taylor_restore.trainer import AdamState, Model, TrainConfig, make_train_checkpoint
+from taylor_restore.trainer import (
+    MODEL_METADATA,
+    AdamState,
+    Model,
+    TrainConfig,
+    make_train_checkpoint,
+)
 
 # one parseable non-default value per key, used to exercise precedence
 ALTERNATIVES = {
@@ -57,7 +63,6 @@ data.rain.length_min = 8.0
 data.rain.streak_sigma = 0.7
 data.seed = 0
 model.derivative_channels = 32
-model.in_channels = 3
 model.kernel_size = 3
 model.mapping_blocks = 3
 model.mapping_channels = 32
@@ -213,12 +218,10 @@ def test_builders_wrap_validation_as_config_errors():
         composer_config_from(effective_config(None, [("composer.order", "9")]))
     with pytest.raises(ConfigError, match="model"):
         mapping_spec_from(effective_config(None, [("model.kernel_size", "4")]))
-    for key in ("model.in_channels", "model.mapping_channels"):
-        with pytest.raises(ConfigError, match="model"):
-            mapping_spec_from(effective_config(None, [(key, "0")]))
-    for key in ("model.in_channels", "model.derivative_channels"):
-        with pytest.raises(ConfigError, match="model"):
-            derivative_spec_from(effective_config(None, [(key, "0")]))
+    with pytest.raises(ConfigError, match="model"):
+        mapping_spec_from(effective_config(None, [("model.mapping_channels", "0")]))
+    with pytest.raises(ConfigError, match="model"):
+        derivative_spec_from(effective_config(None, [("model.derivative_channels", "0")]))
     with pytest.raises(ConfigError):
         train_config_from(effective_config(None, [("train.batch_size", "0")]))
     with pytest.raises(ConfigError, match="degradation"):
@@ -227,6 +230,12 @@ def test_builders_wrap_validation_as_config_errors():
 
 
 OWNED = sorted(key for key, row in SCHEMA.items() if row.owner is not None)
+
+
+def test_model_keys_are_the_checkpoint_metadata_keys():
+    # a MODEL_METADATA key missing from SCHEMA would be recorded in checkpoints that no
+    # config can set
+    assert {key for key in SCHEMA if key.startswith(("model.", "composer."))} == set(MODEL_METADATA)
 
 
 def test_only_the_cli_keys_have_no_owner():

@@ -40,7 +40,7 @@ from taylor_restore.trainer import (
 )
 
 TINY_MAPPING = MappingSpec(channels=4, blocks=1)
-TINY_DERIVATIVE = DerivativeSpec(in_channels=3, channels=4)
+TINY_DERIVATIVE = DerivativeSpec(channels=4)
 
 
 def tiny_train_cfg(**kwargs):
@@ -340,7 +340,7 @@ def test_loss_trends_down(tmp_path):
     corpus_dir = write_rain_corpus(tmp_path / "data", count=16, size=32, seed=10)
     out_dir = tmp_path / "run"
     spec = MappingSpec(channels=8, blocks=1)
-    dspec = DerivativeSpec(in_channels=3, channels=8)
+    dspec = DerivativeSpec(channels=8)
     train(corpus_dir, spec, dspec, ComposerConfig(order=1),
           tiny_train_cfg(patch_size=16, epochs=6, seed=1), out_dir)
     losses = [float(line.split("\t")[3])
@@ -443,6 +443,21 @@ def test_second_training_call_does_not_refault_its_memory(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 200
+
+
+def test_derivative_kernel_must_be_the_mapping_kernel(tmp_path):
+    # the checkpoint records one model.kernel_size, so a model whose nets disagree would
+    # write checkpoints that its own eval and resume reject
+    derivative = DerivativeSpec(channels=4, kernel=5)
+    with pytest.raises(ValueError, match="derivative kernel 5 differs from the mapping kernel 3"):
+        Model.init(TINY_MAPPING, derivative, ComposerConfig(order=2), 0)
+    corpus_dir = write_rain_corpus(tmp_path / "data", count=4, size=16, seed=13)
+    final = train(corpus_dir, TINY_MAPPING, TINY_DERIVATIVE, ComposerConfig(order=2),
+                  tiny_train_cfg(epochs=1), tmp_path / "first")
+    with pytest.raises(ValueError, match="derivative kernel 5 differs from the mapping kernel 3"):
+        train(corpus_dir, TINY_MAPPING, derivative, ComposerConfig(order=2),
+              tiny_train_cfg(epochs=2), tmp_path / "second", resume_from=final)
+    assert not list((tmp_path / "second").glob("ckpt_*"))
 
 
 def test_resume_beyond_config_is_rejected(tmp_path):
