@@ -27,7 +27,7 @@ from .autodiff import ShapeError, Tensor
 from .checkpoint import write_atomic
 from .degrade import read_manifest
 from .errors import FormatError
-from .trainer import Model, read_pair  # reads through trainer.read_ppm, which perfbench wraps
+from .trainer import Model, pin_heap, read_pair  # reads through trainer.read_ppm, which perfbench wraps
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -157,8 +157,10 @@ def evaluate(checkpoint, corpus_dir: str | Path) -> MetricReport:
     Each pair's 8-bit samples are divided by 255.0, one pair at a time. The
     restored output is clamped to [0, 1] before computing metrics (files on
     disk are 8-bit anyway). Rows follow manifest index order. An image
-    smaller than the SSIM window is a FormatError.
+    smaller than the SSIM window is a FormatError. Like training, it pins
+    glibc's heap for the rest of the process (``trainer.pin_heap``).
     """
+    pin_heap()
     corpus_dir = Path(corpus_dir)
     model = Model.from_checkpoint(checkpoint)
     entries = read_manifest(corpus_dir / "manifest.tsv")

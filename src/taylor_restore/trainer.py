@@ -19,7 +19,8 @@ split training (train N, resume M) bit-identical to training N+M epochs.
 
 A non-finite loss or parameter gradient aborts before the Adam update of its step.
 
-Training pins glibc's heap for the rest of the process (see ``pin_heap``).
+Training and ``metrics.evaluate`` pin glibc's heap for the rest of the process (see
+``pin_heap``).
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 plus the TSV report format."""
 
 import math
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import child_env, psnr_bruteforce, rand_array, ssim_bruteforce
+from conftest import child_env, psnr_bruteforce, rand_array, ssim_bruteforce, write_rain_corpus
 from taylor_restore.autodiff import ShapeError
 from taylor_restore.metrics import (
     BAND_TILE,
@@ -184,3 +185,31 @@ def test_report_mean_matches_rows(tmp_path):
     assert footer[0] == "mean"
     assert abs(float(footer[2]) - mean_psnr) <= 1e-12
     assert abs(float(footer[3]) - mean_ssim) <= 1e-12
+
+
+# A width-32 order-0 model on 64 px images: its activation grids (1.1 MB each) are far above
+# glibc's default 128 KiB mmap threshold, so an unpinned heap faults them in again per image.
+EVAL_FAULT_CHECK = """
+import resource, sys
+from taylor_restore import metrics
+from taylor_restore.composer import ComposerConfig
+from taylor_restore.networks import DerivativeSpec, MappingSpec
+from taylor_restore.trainer import AdamState, Model, make_train_checkpoint
+model = Model.init(MappingSpec(channels=32, blocks=1), DerivativeSpec(), ComposerConfig(order=0), 0)
+checkpoint = make_train_checkpoint(model, AdamState.for_params(model.params), 0, 0)
+for call in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    metrics.evaluate(checkpoint, sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin is glibc's mallopt")
+def test_second_evaluation_does_not_refault_its_memory(tmp_path):
+    """evaluate pins the heap as train does, so a second identical call reuses the blocks the
+    first one freed instead of faulting fresh pages in."""
+    corpus = write_rain_corpus(tmp_path / "corpus", count=2, size=64, seed=1)
+    proc = subprocess.run([sys.executable, "-c", EVAL_FAULT_CHECK, str(corpus)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 200
